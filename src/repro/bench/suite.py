@@ -322,6 +322,12 @@ def _sequential_stopping(config: BenchConfig) -> dict[str, dict[str, Any]]:
     rule shows up as new trials executed).  A cold seeded sweep then
     records the realized-trials distribution of default-precision
     requests (p50/p95, gated with slack for stopping-boundary wobble).
+
+    ``duplicate_trials`` checks trial identity from the results alone:
+    same-seed v1→v2 pairs (vectorized and exact), a seeded v2 → larger-cap
+    v2 pair and two concurrent seedless v1 requests.  A follow-up whose
+    new counts equal its earlier request's T-trial counts adds T, as do
+    pooled trials beyond what the two seedless requests executed.
     """
     import warnings as _warnings
 
@@ -360,6 +366,7 @@ def _sequential_stopping(config: BenchConfig) -> dict[str, dict[str, Any]]:
                 timeout=300.0,
             )
             sweep_realized.append(result.realized_trials)
+        duplicates, dup_details = _duplicate_trials(service)
     p50 = float(np.percentile(sweep_realized, 50))
     p95 = float(np.percentile(sweep_realized, 95))
     details = {
@@ -383,6 +390,9 @@ def _sequential_stopping(config: BenchConfig) -> dict[str, dict[str, Any]]:
             details={"cold_ms": cold_s * 1e3, "warm_ms": warm_s * 1e3,
                      **details},
         ),
+        "sequential.duplicate_trials": _count(
+            duplicates, "trials", details=dup_details,
+        ),
         "sequential.realized_trials.p50": _entry(
             p50, "trials", "count", higher_is_better=False,
             gate=True, tolerance_pct=10.0, details=sweep_details,
@@ -392,6 +402,52 @@ def _sequential_stopping(config: BenchConfig) -> dict[str, dict[str, Any]]:
             gate=True, tolerance_pct=10.0, details=sweep_details,
         ),
     }
+
+
+def _duplicate_trials(service) -> tuple[int, dict[str, Any]]:
+    """Trials a follow-up request counted again (see ``_sequential_stopping``)."""
+    import warnings as _warnings
+
+    import numpy as np
+
+    from ..service.precision import Precision
+
+    graph = _bench_tree(150, seed=_COUNT_SEED)
+    t = 64
+
+    def capped(trials: int) -> Precision:
+        return Precision(node_ci=0.001, min_trials=trials, max_trials=trials)
+
+    def submit(**kwargs):
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("ignore", DeprecationWarning)
+            return service.submit(graph=graph, algorithm="luby_fast", **kwargs)
+
+    def run(**kwargs):
+        return submit(**kwargs).result(300.0)
+
+    pairs = {
+        "v1-v2-vectorized": (dict(trials=t, seed=11, mode="vectorized"),
+                             dict(precision=capped(2 * t), seed=11,
+                                  mode="vectorized")),
+        "v1-v2-exact": (dict(trials=t, seed=12, mode="exact"),
+                        dict(precision=capped(2 * t), seed=12, mode="exact")),
+        "v2-v2-larger-cap": (dict(precision=capped(t), seed=13),
+                             dict(precision=capped(2 * t), seed=13)),
+    }
+    found: dict[str, int] = {}
+    for name, (first_kw, follow_kw) in pairs.items():
+        service.cache.clear()  # the follow-up's prior is the first's trials
+        first = run(**first_kw)
+        follow = run(**follow_kw)
+        new = follow.estimate.counts - first.estimate.counts
+        found[name] = t if np.array_equal(new, first.estimate.counts) else 0
+    service.cache.clear()
+    handles = [submit(trials=t, seed=None) for _ in range(2)]
+    executed = sum(h.result(300.0).trials_run for h in handles)
+    follow = run(precision=capped(4 * t), seed=None)
+    found["seedless-concurrent"] = max(0, follow.prior_trials - executed)
+    return sum(found.values()), {"n": 150, "trials": t, "pairs": found}
 
 
 def _remote_telemetry(config: BenchConfig) -> dict[str, dict[str, Any]]:

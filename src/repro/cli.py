@@ -48,7 +48,7 @@ from .core.registry import available, make
 from .graphs.graph import StaticGraph
 from .graphs.spec import GraphSpecError, build_graph
 
-__all__ = ["main", "parse_graph_spec"]
+__all__ = ["main"]
 
 
 def _graph_from_spec(spec: str) -> StaticGraph:
@@ -57,22 +57,6 @@ def _graph_from_spec(spec: str) -> StaticGraph:
         return build_graph(spec)
     except GraphSpecError as exc:
         raise SystemExit(f"{exc} (see --help)") from exc
-
-
-def parse_graph_spec(spec: str) -> StaticGraph:
-    """Deprecated alias — use :meth:`repro.graphs.spec.GraphSpec.parse` /
-    :func:`repro.graphs.spec.build_graph` instead.
-
-    Kept so existing scripts importing ``repro.cli.parse_graph_spec``
-    continue to work (including its ``SystemExit`` error behavior).
-    """
-    warnings.warn(
-        "repro.cli.parse_graph_spec is deprecated; use "
-        "repro.graphs.spec.GraphSpec.parse(...).build() or build_graph()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _graph_from_spec(spec)
 
 
 def _cmd_list(_args: argparse.Namespace) -> None:
@@ -850,7 +834,10 @@ def _cmd_evidence(args: argparse.Namespace) -> None:
                 print(f"graph hash : {r['graph_hash']}")
                 print(f"algorithm  : {r['algorithm']}")
                 print(f"trials     : {r['trials']} pooled over {r['nodes']} nodes")
-                print(f"resident   : {r['bytes']} bytes   dedup tags {r['tags']}")
+                print(
+                    f"resident   : {r['bytes']} bytes   "
+                    f"{r['used_indices']} spawn indices used"
+                )
                 print(f"age        : {r['age_s']:.1f}s since first deposit")
                 print(
                     f"achievable : ±{r['achievable_halfwidth']:.4f} node CI "
@@ -860,13 +847,13 @@ def _cmd_evidence(args: argparse.Namespace) -> None:
             return
         print(
             f"{'graph hash':<16} {'algorithm':<22} {'trials':>8} {'nodes':>7} "
-            f"{'bytes':>10} {'age s':>7} {'tags':>5} {'±hw@95%':>9}"
+            f"{'bytes':>10} {'age s':>7} {'used':>7} {'±hw@95%':>9}"
         )
         for r in rows:
             print(
                 f"{r['graph_hash'][:14] + '…':<16} {r['algorithm']:<22} "
                 f"{r['trials']:>8} {r['nodes']:>7} {r['bytes']:>10} "
-                f"{r['age_s']:>7.1f} {r['tags']:>5} "
+                f"{r['age_s']:>7.1f} {r['used_indices']:>7} "
                 f"{r['achievable_halfwidth']:>9.4f}"
             )
 
@@ -1646,7 +1633,7 @@ def build_parser() -> argparse.ArgumentParser:
     for ename, ehelp in (
         ("ls", "tabulate every (graph, algorithm) evidence pool"),
         ("show", "dump matching pools in detail"),
-        ("purge", "drop matching pools (dedup tags go with them)"),
+        ("purge", "drop matching pools (their ledgers go with them)"),
     ):
         e = esub.add_parser(ename, help=ehelp)
         e.add_argument(

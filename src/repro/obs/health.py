@@ -299,7 +299,7 @@ def default_rules(
         ),
         HealthRule(
             name="queue_depth",
-            description="current dispatcher queue depth",
+            description="requests admitted and not yet complete",
             extract=lambda s: _gauge(s, "service_queue_depth_current"),
             direction="above",
             warn=32,

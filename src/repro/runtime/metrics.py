@@ -113,12 +113,10 @@ class ServiceCounters:
     The scheduler, cache, and worker pools all increment through one
     instance, so a single snapshot describes a service's lifetime traffic.
 
-    Since the observability layer landed this is a compatibility shim
-    over :class:`repro.obs.metrics.MetricsRegistry`: each field is backed
-    by a registry counter named ``service_<field>_total``, so the same
-    totals appear in the Prometheus/JSON expositions without double
-    bookkeeping.  The historical surface — ``increment``, ``snapshot``,
-    attribute reads like ``counters.requests`` — is unchanged.
+    Each field is backed by a :class:`repro.obs.metrics.MetricsRegistry`
+    counter named ``service_<field>_total``, so the same totals appear in
+    the Prometheus/JSON expositions without double bookkeeping.  Read
+    them through :meth:`snapshot`.
     """
 
     _FIELDS = (
@@ -175,19 +173,6 @@ class ServiceCounters:
     def snapshot(self) -> dict[str, int]:
         """A consistent copy of all counters."""
         return {name: int(c.value) for name, c in self._counters.items()}
-
-    def __getattr__(self, name: str):
-        # Attribute-style reads (``counters.requests``) for known fields.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        try:
-            counters = object.__getattribute__(self, "_counters")
-        except AttributeError:
-            raise AttributeError(name) from None
-        counter = counters.get(name)
-        if counter is None:
-            raise AttributeError(f"unknown service counter {name!r}")
-        return int(counter.value)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(f"{k}={v}" for k, v in self.snapshot().items())

@@ -58,10 +58,26 @@ def spawn_node_rngs(seed: SeedLike, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in root.spawn(n)]
 
 
-def spawn_trial_seeds(seed: SeedLike, trials: int) -> list[np.random.SeedSequence]:
-    """Spawn one independent ``SeedSequence`` per Monte-Carlo trial."""
+def spawn_trial_seeds(
+    seed: SeedLike, trials: int, start: int = 0
+) -> list[np.random.SeedSequence]:
+    """Spawn one independent ``SeedSequence`` per Monte-Carlo trial.
+
+    A nonzero *start* skips the root's first children: trial ``i`` gets
+    child ``start + i``, the one ``SeedSequence(seed).spawn`` would hand
+    out at that position, built directly without spawning the others.
+    """
     root = as_seed_sequence(seed)
-    return root.spawn(trials)
+    if start == 0:
+        return root.spawn(trials)
+    return [
+        np.random.SeedSequence(
+            root.entropy,
+            spawn_key=(*root.spawn_key, i),
+            pool_size=root.pool_size,
+        )
+        for i in range(start, start + trials)
+    ]
 
 
 def random_unique_ids(

@@ -12,9 +12,17 @@ Two planes share one LRU budget discipline:
   chunk *deposits* its counts; a precision request *reads* the pooled
   evidence as a prior, so its confidence interval starts partially (or
   fully) closed and warm requests finish in a fraction of a cold
-  budget.  Deposits carry an optional dedup ``tag`` (the exact-plane
-  cache key, or a seeded-run fingerprint) so re-running a deterministic
-  seeded request can never double-count its correlated samples.
+  budget.
+
+Beside each evidence entry lives its **ledger**: the spawn indices,
+per seed root, that the pooled trials were drawn from.  A chunk is named
+by its seed root and the run of spawn indices it used (one per chunk in
+vectorized mode, one per trial in exact mode; an index counts as used
+whichever mode drew it, since both seed a generator from that child).  A
+deposit touching an index the ledger already holds is refused, so the
+pool never holds the same trial twice, and the scheduler draws new
+trials from indices the ledger does not hold.  The ledger goes with its
+entry on purge, LRU eviction and :meth:`ResultCache.clear`.
 
 Hit/miss/eviction/deposit totals are reported through the shared
 :class:`repro.runtime.metrics.ServiceCounters` instance.
@@ -34,7 +42,7 @@ from ..obs.logging import get_logger
 from ..obs.metrics import AGE_BUCKETS, MetricsRegistry
 from ..runtime.metrics import ServiceCounters
 
-__all__ = ["ResultCache", "cache_key", "evidence_key"]
+__all__ = ["ResultCache", "SpawnRanges", "cache_key", "evidence_key"]
 
 _log = get_logger("repro.service.cache")
 
@@ -58,17 +66,73 @@ def evidence_key(graph_hash: str, algorithm_key: str) -> tuple:
     return (graph_hash, algorithm_key)
 
 
+class SpawnRanges:
+    """A set of spawn indices, kept as sorted disjoint ``[lo, hi)`` runs.
+
+    Trials are drawn from consecutive indices, so a root's used indices
+    almost always form one or two runs however many trials they hold.
+    """
+
+    __slots__ = ("runs",)
+
+    def __init__(self) -> None:
+        self.runs: list[tuple[int, int]] = []
+
+    def __len__(self) -> int:
+        return sum(hi - lo for lo, hi in self.runs)
+
+    def copy(self) -> "SpawnRanges":
+        other = SpawnRanges()
+        other.runs = list(self.runs)
+        return other
+
+    def overlaps(self, indices: range) -> bool:
+        return any(
+            lo < indices.stop and indices.start < hi for lo, hi in self.runs
+        )
+
+    def add(self, indices: range) -> None:
+        lo, hi = indices.start, indices.stop
+        keep = []
+        for a, b in self.runs:
+            if b < lo or hi < a:
+                keep.append((a, b))
+            else:
+                lo, hi = min(a, lo), max(b, hi)
+        keep.append((lo, hi))
+        keep.sort()
+        self.runs = keep
+
+    def update(self, other: "SpawnRanges") -> None:
+        for lo, hi in other.runs:
+            self.add(range(lo, hi))
+
+    def first_free(self, width: int) -> range:
+        """The lowest run of *width* indices that holds no member."""
+        lo = 0
+        for a, b in self.runs:
+            if a - lo >= width:
+                break
+            lo = max(lo, b)
+        return range(lo, lo + width)
+
+
 @dataclass
 class _Evidence:
-    """Accumulated join counts for one ``(graph, algorithm)`` pair."""
+    """Accumulated join counts for one ``(graph, algorithm)`` pair, with
+    the ledger of spawn indices (per seed root) they were drawn from."""
 
     counts: np.ndarray
     trials: int = 0
     inserted_at: float = 0.0
-    tags: set = field(default_factory=set)
+    ledger: dict[int, SpawnRanges] = field(default_factory=dict)
 
     def estimate(self) -> JoinEstimate:
         return JoinEstimate(counts=self.counts.copy(), trials=self.trials)
+
+    def used(self, root: int) -> SpawnRanges:
+        ranges = self.ledger.get(root)
+        return ranges.copy() if ranges is not None else SpawnRanges()
 
 
 class ResultCache:
@@ -157,12 +221,15 @@ class ResultCache:
     # evidence plane (v2 precision-targeted requests)
     # ------------------------------------------------------------------ #
     def evidence(
-        self, graph_hash: str, algorithm_key: str
-    ) -> JoinEstimate | None:
-        """Pooled evidence for a pair, or ``None``; counts hits/misses."""
+        self, graph_hash: str, algorithm_key: str, root: int
+    ) -> tuple[JoinEstimate | None, SpawnRanges]:
+        """Pooled evidence for a pair (or ``None``) and the spawn indices
+        of *root* it already holds, read in one locked snapshot; counts
+        hits/misses."""
         key = evidence_key(graph_hash, algorithm_key)
         with self._lock:
             entry = self._evidence.get(key)
+            used = entry.used(root) if entry is not None else SpawnRanges()
             if entry is not None and entry.trials > 0:
                 self._evidence.move_to_end(key)
                 est = entry.estimate()
@@ -171,31 +238,50 @@ class ResultCache:
                 est = None
         if est is None:
             self.counters.increment("evidence_misses")
-            return None
+            return None, used
         self._h_age.observe(age)
         self.counters.increment("evidence_hits")
         self.counters.increment("evidence_trials_reused", est.trials)
         _log.debug(
             "evidence_hit", trials=est.trials, algorithm=algorithm_key
         )
-        return est
+        return est, used
+
+    def used_indices(
+        self, graph_hash: str, algorithm_key: str, root: int
+    ) -> SpawnRanges:
+        """The spawn indices of *root* the pair's ledger holds (a copy);
+        no counters, no recency."""
+        with self._lock:
+            entry = self._evidence.get(evidence_key(graph_hash, algorithm_key))
+            return entry.used(root) if entry is not None else SpawnRanges()
+
+    def forget_root(self, graph_hash: str, algorithm_key: str, root: int) -> None:
+        """Drop *root*'s row from the pair's ledger; its pooled counts
+        stay.  Only for a root whose entropy is never drawn again (a
+        retired seedless root), so no later deposit can repeat it."""
+        with self._lock:
+            entry = self._evidence.get(evidence_key(graph_hash, algorithm_key))
+            if entry is not None:
+                entry.ledger.pop(root, None)
 
     def add_evidence(
         self,
         graph_hash: str,
         algorithm_key: str,
         estimate: JoinEstimate,
-        tag: object | None = None,
-    ) -> None:
-        """Merge *estimate*'s counts into the pair's pooled evidence.
+        root: int,
+        indices: range,
+    ) -> bool:
+        """Merge one chunk's counts into the pair's pooled evidence.
 
-        A non-``None`` *tag* identifies a deterministic contribution
-        (e.g. a seeded fixed-budget run): depositing the same tag twice
-        is a no-op, so repeat seeded traffic cannot inflate the pooled
-        trial count with correlated samples.
+        The chunk is named by its seed *root* and the spawn *indices* it
+        drew from.  If the ledger already holds any of them the deposit
+        is refused and ``False`` returned: those samples (or samples
+        seeded from the same children) are already pooled.
         """
         if self.capacity == 0 or estimate.trials <= 0:
-            return
+            return False
         key = evidence_key(graph_hash, algorithm_key)
         evictions = 0
         with self._lock:
@@ -206,14 +292,14 @@ class ResultCache:
                     inserted_at=time.monotonic(),
                 )
                 self._evidence[key] = entry
-            if tag is not None:
-                if tag in entry.tags:
-                    return
-                entry.tags.add(tag)
+            ranges = entry.ledger.setdefault(root, SpawnRanges())
+            if ranges.overlaps(indices):
+                return False
             if entry.counts.shape != estimate.counts.shape:
                 # A different graph collapsed onto this hash is impossible
                 # (content-addressed); shape drift means caller error.
                 raise ValueError("evidence counts cover a different node set")
+            ranges.add(indices)
             entry.counts += estimate.counts
             entry.trials += estimate.trials
             self._evidence.move_to_end(key)
@@ -226,6 +312,7 @@ class ResultCache:
         if evictions:
             self.counters.increment("cache_evictions", evictions)
             _log.debug("evidence_evicted", evictions=evictions)
+        return True
 
     def evidence_trials(self, graph_hash: str, algorithm_key: str) -> int:
         """Pooled trial count for a pair (0 when absent); no counters."""
@@ -238,8 +325,8 @@ class ResultCache:
         coldest first); does not touch hit/miss counters or recency.
 
         Each row reports the pair identity, pooled trials, node count,
-        resident bytes, seconds since first deposit, dedup-tag count,
-        and the half-width the pooled evidence can already achieve at
+        resident bytes, seconds since first deposit, the number of spawn
+        indices its ledger holds, and the half-width the pooled evidence can already achieve at
         the given *confidence* — i.e. what a precision request would
         start from.  Backs ``repro evidence ls``/``show``.
         """
@@ -259,7 +346,7 @@ class ResultCache:
                     "nodes": int(est.counts.shape[0]),
                     "bytes": int(entry.counts.nbytes),
                     "age_s": now - entry.inserted_at,
-                    "tags": len(entry.tags),
+                    "used_indices": sum(len(r) for r in entry.ledger.values()),
                     "achievable_halfwidth": float(est.max_halfwidth(z)),
                 }
             )
@@ -273,9 +360,9 @@ class ResultCache:
         """Drop matching evidence entries; returns how many were purged.
 
         ``None`` filters match everything, so ``purge_evidence()`` empties
-        the plane.  An entry's dedup tags go with it — a purge is a
-        statement that the pooled samples are unwanted, so later seeded
-        re-runs may legitimately re-deposit.
+        the plane.  An entry's ledger goes with it — a purge is a statement
+        that the pooled samples are unwanted, so later runs may draw and
+        deposit the same spawn indices again.
         """
         with self._lock:
             victims = [

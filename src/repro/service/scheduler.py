@@ -1,32 +1,37 @@
-"""Batched request scheduler: coalescing, chunk dispatch, incremental merge.
+"""Batched request scheduler: one round loop over identified trial chunks.
 
-One daemon dispatcher thread drains a FIFO of submitted requests and
-turns each into a sequence of trial *chunks* executed on a persistent
-:class:`~repro.analysis.montecarlo.TrialPool`.  Chunk results are merged
-incrementally into per-request accumulators, so partial progress is never
-lost and concurrent requests can share work three ways:
+One daemon dispatcher thread drains a FIFO of trial *chunks* and submits
+each to a persistent :class:`~repro.analysis.montecarlo.TrialPool`.  A
+chunk has an identity — its ``(graph, algorithm)`` pair, its seed root,
+the run of spawn indices it draws from that root, its trial count and
+its mode — and every request, whatever its kind, runs one state
+machine: plan a round of chunks, merge their counts as they land, and
+when the round is complete either finish or plan the next round.
 
-* **identical-request coalescing** — a seeded fixed-budget request that
-  matches an in-flight request's cache key bit-for-bit subscribes to
-  that request's completion instead of re-running anything;
-* **shared seedless streams** — concurrent ``seed=None`` fixed-budget
-  requests for the same ``(graph, algorithm, mode)`` pair consume one
-  shared chunk stream: every finished chunk is merged into every
-  unfinished subscriber, so N overlapping requests cost roughly one
-  request's trials, not N;
-* **evidence reuse (v2)** — every executed chunk also deposits its
-  counts into the cache's accumulating evidence store, and
-  precision-targeted requests seed their confidence interval from that
-  pooled prior, so warm precision traffic typically executes few or zero
-  new trials.
+* **v1 (fixed budget)** — one round over spawn indices ``0…k−1`` of
+  ``SeedSequence(seed)``, with no prior, so a seeded result is a pure
+  function of the request and ``chunk_trials``.
+* **v2 (precision)** — rounds over the lowest spawn indices of the seed
+  root that are neither used (in the cache's evidence ledger) nor in
+  flight.  The request reads its prior and those indices in one locked
+  snapshot; between rounds its
+  :class:`~repro.service.precision.StoppingRule` is evaluated on prior +
+  new counts, stopping the request the moment the requested CI closes
+  or at the hard trial cap.
+* **seedless** — requests on one ``(graph, algorithm, mode)`` share one
+  fresh root while any of them, or a chunk of that root, is in flight;
+  a retired root's ledger row is dropped, since its entropy is never
+  drawn again.
 
-Precision-targeted requests (``request.precision`` set) are dispatched
-in *rounds*: the scheduler submits one round of chunks, and when the
-round completes it evaluates the request's
-:class:`~repro.service.precision.StoppingRule` on prior + accumulated
-counts — stopping early the moment the requested CI closes, or at the
-hard trial cap.  Rounds re-enter the dispatcher queue rather than
-blocking it, so sequential stopping never stalls concurrent traffic.
+Coalescing is a lookup of in-flight chunk identities: a request whose
+round needs a chunk that is already running subscribes to it instead of
+running it again.  An identical seeded v1 request finds every chunk it
+needs in flight; seedless and precision requests take any in-flight
+chunk of their root that fits their round and overlaps no index they
+already hold.  Every executed chunk deposits its counts into the
+evidence plane once, guarded by the ledger, so pooled evidence never
+holds the same trial twice and warm precision traffic typically
+executes few or zero new trials.
 
 Pools are kept resident per ``(graph, algorithm)`` pair (LRU-capped), so
 repeated traffic for the same pair never pays spin-up or graph pickling
@@ -61,7 +66,7 @@ from ..obs.remote import RemoteTelemetry
 from ..obs.spans import bind_trace, current_span_id, current_trace_id, new_trace_id, span
 from ..runtime.metrics import RequestRecord, ServiceCounters
 from ..runtime.rng import as_seed_sequence, spawn_trial_seeds
-from .cache import ResultCache, cache_key
+from .cache import ResultCache, SpawnRanges, cache_key
 from .journal import ConvergenceTrace, RequestJournal, TraceFrame
 from .precision import StopDecision, StoppingRule
 from .requests import EstimateRequest, EstimateResult
@@ -89,8 +94,10 @@ class Ticket:
         algorithm: MISAlgorithm,
         mode: str,
         key: tuple | None,
+        root: int,
         stopping: StoppingRule | None = None,
         prior: JoinEstimate | None = None,
+        used: SpawnRanges | None = None,
     ) -> None:
         self.request = request
         self.graph = graph
@@ -98,6 +105,7 @@ class Ticket:
         self.algorithm = algorithm
         self.mode = mode
         self.key = key
+        self.pair = (graph_hash, request.algorithm_key())
         # Trace continuation: tickets join the submitting context's trace
         # (e.g. the Estimator.submit span) or start a fresh one, so every
         # scheduler/pool/chunk event for this request shares one trace_id.
@@ -114,9 +122,15 @@ class Ticket:
             self.target = request.trials
         else:
             self.target = max(0, stopping.max_trials - prior_trials)
-        self.seed_root = as_seed_sequence(request.seed)
+        # Trial identity: the seed root (entropy) this request draws from
+        # and the spawn indices it may not draw — those its prior holds
+        # plus every chunk it has run or subscribed to.  A seeded v1
+        # request always draws indices 0…k−1 instead.
+        self.root = root
+        self.fixed = stopping is None and request.seed is not None
+        self.used = used if used is not None else SpawnRanges()
         self.rounds = 0
-        self.inflight_chunks = 0
+        self.pending = 0
         self.round_chunks = 0
         self.round_start_trials = 0
         self.frames: list[TraceFrame] = []
@@ -126,7 +140,6 @@ class Ticket:
         self.trials_done = 0
         self.trials_run = 0
         self.coalesced = False
-        self.subscribers: list[Ticket] = []
         self.submitted_at = time.perf_counter()
         self._event = threading.Event()
         self._result: EstimateResult | None = None
@@ -187,16 +200,27 @@ class Ticket:
         self._event.set()
 
 
-class _Stream:
-    """Shared chunk stream for seedless requests on one pair."""
+class _Chunk:
+    """One run of trials in flight, named by its ledger identity.
 
-    def __init__(self, pair: tuple) -> None:
-        self.pair = pair
-        self.root = as_seed_sequence(None)
-        self.subscribers: list[Ticket] = []
-        self.inflight_trials = 0
-        self.scheduled = False
-        self.closed = False
+    ``indices`` is the run of spawn indices of ``root`` it draws from:
+    one index seeding all ``trials`` in vectorized mode, one index per
+    trial in exact mode.  The first subscriber is the request that
+    planned it; later ones coalesced onto it.
+    """
+
+    __slots__ = ("key", "pair", "root", "indices", "trials", "mode", "subscribers")
+
+    def __init__(self, key: tuple, owner: Ticket) -> None:
+        self.key = key
+        self.pair, self.root, self.indices, self.trials, self.mode = key
+        self.subscribers = [owner]
+
+    def payload(self) -> Any:
+        if self.mode == "vectorized":
+            (seed,) = spawn_trial_seeds(self.root, 1, start=self.indices.start)
+            return seed, self.trials
+        return spawn_trial_seeds(self.root, self.trials, start=self.indices.start)
 
 
 class BatchScheduler:
@@ -255,11 +279,12 @@ class BatchScheduler:
         )
         self._h_queue = self.registry.histogram(
             "service_queue_depth",
-            "Dispatcher queue depth sampled at each submission",
+            "Open requests ahead of each submission",
             buckets=COUNT_BUCKETS,
         )
         self._g_queue = self.registry.gauge(
-            "service_queue_depth_current", "Current dispatcher queue depth"
+            "service_queue_depth_current",
+            "Requests admitted and not yet complete",
         )
         self._g_pools = self.registry.gauge(
             "service_pools_resident", "Worker pools currently kept warm"
@@ -303,9 +328,9 @@ class BatchScheduler:
         self.telemetry = RemoteTelemetry(self.registry)
         self._lock = threading.RLock()
         self._queue: queue.Queue[Any] = queue.Queue()
-        self._inflight: dict[tuple, Ticket] = {}
-        self._streams: dict[tuple, _Stream] = {}
-        self._dynamic: set[Ticket] = set()
+        self._open: set[Ticket] = set()
+        self._flight: dict[tuple, _Chunk] = {}
+        self._roots: dict[tuple, int] = {}
         self._pools: OrderedDict[tuple, TrialPool] = OrderedDict()
         self._pool_busy: dict[tuple, int] = {}
         self._graph_memo: OrderedDict[str, StaticGraph] = OrderedDict()
@@ -323,11 +348,10 @@ class BatchScheduler:
     def submit(self, request: EstimateRequest) -> Ticket:
         """Register *request*; returns a :class:`Ticket` immediately.
 
-        Cache/evidence hits complete before this returns; identical
-        in-flight requests and same-pair seedless requests are coalesced
-        rather than re-executed.  Precision-targeted requests enter the
-        round-based sequential-stopping path, seeded with any pooled
-        evidence for their ``(graph, algorithm)`` pair.
+        Exact-cache hits, and precision requests whose pooled evidence
+        already satisfies the stopping rule, complete before this
+        returns.  Anything else plans its first round here, subscribing
+        to chunks already in flight where it can.
         """
         if self._closed:
             raise RuntimeError("scheduler is shut down")
@@ -336,139 +360,81 @@ class BatchScheduler:
         algorithm = make(request.algorithm, **dict(request.params))
         mode = self._resolve_mode(request.mode, algorithm)
         graph_hash = graph.content_hash()
+        algorithm_key = request.algorithm_key()
         precision = request.resolved_precision()
-        if precision is not None:
-            return self._submit_precision(
-                request, graph, graph_hash, algorithm, mode, precision
+        key = rule = None
+        if precision is None:
+            assert request.trials is not None
+            key = cache_key(
+                graph_hash, algorithm_key, request.seed, request.trials, mode
             )
-        assert request.trials is not None
-        key = cache_key(
-            graph_hash, request.algorithm_key(), request.seed, request.trials, mode
-        )
-        ticket = Ticket(request, graph, graph_hash, algorithm, mode, key)
-        depth = self._queue.qsize()
-        self._h_queue.observe(depth)
-        self._g_queue.set(depth)
-        self._log.info(
-            "request_submitted",
-            trace_id=ticket.trace_id,
-            request_id=request.id,
-            algorithm=request.algorithm,
-            trials=request.trials,
-            mode=mode,
-            seeded=request.seed is not None,
-            queue_depth=depth,
-        )
-
-        if key is not None:
-            est = self.cache.get(key)
-            if est is not None:
-                self._finish(ticket, est, cached=True)
-                return ticket
-            with self._lock:
-                primary = self._inflight.get(key)
-                if primary is not None and not primary.done():
-                    ticket.coalesced = True
-                    primary.subscribers.append(ticket)
-                    self.counters.increment("coalesced_requests")
-                    self._log.info(
-                        "request_coalesced",
-                        trace_id=ticket.trace_id,
-                        primary_trace_id=primary.trace_id,
-                        request_id=request.id,
-                    )
-                    return ticket
-                self._inflight[key] = ticket
-            self._queue.put(ticket)
-            return ticket
-
-        # Seedless: join (or open) the shared stream for this pair.
-        pair = (graph_hash, request.algorithm_key(), mode)
+        else:
+            self.counters.increment("precision_requests")
+            rule = precision.rule()
+        hit = None
         with self._lock:
-            stream = self._streams.get(pair)
-            if stream is not None and not stream.closed:
-                ticket.coalesced = True
-                stream.subscribers.append(ticket)
-                self.counters.increment("coalesced_requests")
-                self._log.info(
-                    "request_coalesced",
-                    trace_id=ticket.trace_id,
-                    stream=repr(pair[1]),
-                    request_id=request.id,
+            # One locked snapshot: the seed root, the prior pooled for the
+            # pair and the indices of that root it holds, and the plan of
+            # the first round.
+            if request.seed is not None:
+                root = as_seed_sequence(request.seed).entropy
+            else:
+                root = self._roots.setdefault(
+                    (graph_hash, algorithm_key, mode),
+                    as_seed_sequence(None).entropy,
                 )
-                if not stream.scheduled:
-                    stream.scheduled = True
-                    self._queue.put(stream)
-                return ticket
-            stream = _Stream(pair)
-            stream.subscribers.append(ticket)
-            stream.scheduled = True
-            self._streams[pair] = stream
-        self._queue.put(stream)
+            prior = used = None
+            if rule is not None:
+                prior, used = self.cache.evidence(graph_hash, algorithm_key, root)
+            ticket = Ticket(
+                request, graph, graph_hash, algorithm, mode, key, root,
+                stopping=rule, prior=prior, used=used,
+            )
+            depth = len(self._open)
+            self._h_queue.observe(depth)
+            self._log.info(
+                "request_submitted",
+                trace_id=ticket.trace_id,
+                request_id=request.id,
+                algorithm=request.algorithm,
+                trials=request.trials,
+                mode=mode,
+                seeded=request.seed is not None,
+                precision=precision.to_json() if precision else None,
+                prior_trials=ticket.prior_trials,
+                queue_depth=depth,
+            )
+            if key is not None:
+                hit = self.cache.get(key)
+            elif prior is not None:
+                hit = self._check_prior(ticket)
+            if hit is None:
+                self._open.add(ticket)
+                self._g_queue.set(len(self._open))
+                self._start_round(ticket)
+        if hit is not None:
+            self._finish(ticket, hit, cached=True)
         return ticket
 
-    def _submit_precision(
-        self,
-        request: EstimateRequest,
-        graph: StaticGraph,
-        graph_hash: str,
-        algorithm: MISAlgorithm,
-        mode: str,
-        precision,
-    ) -> Ticket:
-        """Register a precision-targeted request (sequential stopping).
-
-        The cached evidence pool for ``(graph, algorithm)`` seeds the
-        CI; if the prior alone already satisfies the stopping rule the
-        request completes here with zero new trials.
-        """
-        self.counters.increment("precision_requests")
-        rule = precision.rule()
-        prior = self.cache.evidence(graph_hash, request.algorithm_key())
-        ticket = Ticket(
-            request, graph, graph_hash, algorithm, mode, key=None,
-            stopping=rule, prior=prior,
-        )
-        depth = self._queue.qsize()
-        self._h_queue.observe(depth)
-        self._g_queue.set(depth)
-        self._log.info(
-            "request_submitted",
-            trace_id=ticket.trace_id,
-            request_id=request.id,
-            algorithm=request.algorithm,
-            mode=mode,
-            seeded=request.seed is not None,
-            precision=precision.to_json(),
-            prior_trials=ticket.prior_trials,
-            queue_depth=depth,
-        )
-        if prior is not None:
-            decision = rule.check(prior.counts, prior.trials)
-            stop = decision.should_stop
-            ticket.frames.append(
-                self._precision_frame(
-                    ticket,
-                    decision,
-                    chunks=0,
-                    new_trials=0,
-                    predicted=0 if stop else self._round_budget(ticket),
-                )
+    def _check_prior(self, ticket: Ticket) -> JoinEstimate | None:
+        """The prior if it alone satisfies the rule (or hits the cap)."""
+        assert ticket.stopping is not None and ticket.prior is not None
+        prior = ticket.prior
+        decision = ticket.stopping.check(prior.counts, prior.trials)
+        stop = decision.should_stop
+        ticket.frames.append(
+            self._precision_frame(
+                ticket,
+                decision,
+                chunks=0,
+                new_trials=0,
+                predicted=0 if stop else self._round_budget(ticket),
             )
-            if stop:
-                ticket.stopped_early = decision.satisfied
-                ticket.achieved = decision.achieved()
-                if decision.satisfied:
-                    self.counters.increment("early_stops")
-                    self._c_early.labels(algorithm=request.algorithm).inc()
-                else:
-                    self._c_capped.labels(algorithm=request.algorithm).inc()
-                self._finish(ticket, prior, cached=True)
-                return ticket
-        with self._lock:
-            self._dynamic.add(ticket)
-        self._queue.put(ticket)
-        return ticket
+        )
+        if not stop:
+            return None
+        self._conclude(ticket, decision)
+        return prior
 
     # ------------------------------------------------------------------ #
     # resolution helpers
@@ -512,184 +478,132 @@ class BatchScheduler:
         return mode
 
     # ------------------------------------------------------------------ #
-    # dispatcher
+    # rounds
     # ------------------------------------------------------------------ #
-    def _loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            self._g_queue.set(self._queue.qsize())
-            if item is None:
-                break
-            try:
-                if isinstance(item, _Stream):
-                    self._dispatch_stream(item)
-                elif item.stopping is not None:
-                    self._dispatch_precision_round(item)
-                else:
-                    self._dispatch_ticket(item)
-            except BaseException as exc:  # noqa: BLE001 - fail the request
-                if isinstance(item, _Stream):
-                    with self._lock:
-                        subs = list(item.subscribers)
-                        item.closed = True
-                        self._streams.pop(item.pair, None)
-                    for sub in subs:
-                        sub._fail(exc)
-                else:
-                    self._abort(item, exc)
+    def _start_round(self, ticket: Ticket) -> None:
+        """Plan the ticket's next round; queue the chunks it must run.
 
-    def _acquire_slot(self) -> bool:
-        """Bounded-concurrency gate; gives up when hard-stopped."""
-        while not self._sem.acquire(timeout=0.05):
-            if self._hard_stop:
-                return False
-        if self._hard_stop:
-            self._sem.release()
-            return False
-        return True
-
-    def _pool_for(self, ticket_pair: tuple, algorithm, graph) -> TrialPool:
-        with self._lock:
-            pool = self._pools.get(ticket_pair)
-            if pool is not None:
-                self._pools.move_to_end(ticket_pair)
-                return pool
-        pool = TrialPool(
-            algorithm,
-            graph,
-            workers=self.workers,
-            context=self._context,
-            shm=self._shm,
-            telemetry=self.telemetry,
-        )
-        self.counters.increment("pools_created")
-        with self._lock:
-            self._pools[ticket_pair] = pool
-            self._pool_busy.setdefault(ticket_pair, 0)
-            victims = []
-            if len(self._pools) > self.max_pools:
-                for key in list(self._pools):
-                    if len(self._pools) <= self.max_pools:
-                        break
-                    if key != ticket_pair and self._pool_busy.get(key, 0) == 0:
-                        victims.append((key, self._pools.pop(key)))
-                        self._pool_busy.pop(key, None)
-        for _key, victim in victims:
-            victim.close(wait=True)
-            self.counters.increment("pools_evicted")
-        with self._lock:
-            self._g_pools.set(len(self._pools))
-        return pool
-
-    def _plan_chunks(self, ticket: Ticket) -> list[tuple[Any, int]]:
-        """Split a seeded request into ``(payload, n_trials)`` chunks.
-
-        Exact mode partitions the same spawned per-trial seeds
-        ``run_trials`` would use, contiguously — totals are bit-identical
-        to serial execution however the chunks land on workers.
-        Vectorized mode spawns one child seed per chunk, so results are
-        deterministic for a fixed ``chunk_trials``.
+        A seeded v1 request wants its fixed chunks over indices 0…k−1.
+        Every other request first takes in-flight chunks of its root
+        (same mode, fitting the round, no index it may not use), then
+        new chunks on the lowest indices neither used nor in flight, in
+        ``chunk_trials`` pieces.  A wanted chunk already in flight gets a
+        subscriber instead of a second run.
         """
-        trials, seed = ticket.target, ticket.request.seed
-        size = self.chunk_trials
-        n_chunks = math.ceil(trials / size)
-        if ticket.mode == "exact":
-            seeds = spawn_trial_seeds(seed, trials)
-            parts = [seeds[i * size : (i + 1) * size] for i in range(n_chunks)]
-            return [(part, len(part)) for part in parts]
-        roots = as_seed_sequence(seed).spawn(n_chunks)
-        sizes = [min(size, trials - i * size) for i in range(n_chunks)]
-        return [((root, k), k) for root, k in zip(roots, sizes)]
-
-    def _dispatch_ticket(self, ticket: Ticket) -> None:
-        # Re-enter the request's trace on the dispatcher thread and bind
-        # the service registry so pool/engine observations land here.
-        with bind_trace(ticket.trace_id, ticket.parent_span_id), use_registry(
-            self.registry
-        ), span(
-            "scheduler.dispatch",
-            algorithm=ticket.request.algorithm,
-            trials=ticket.target,
-            mode=ticket.mode,
-        ):
-            pair = (ticket.graph_hash, ticket.request.algorithm_key())
-            pool = self._pool_for(pair, ticket.algorithm, ticket.graph)
-            vectorized = ticket.mode == "vectorized"
-            for payload, n_trials in self._plan_chunks(ticket):
-                if ticket.dead:
-                    break
-                if not self._acquire_slot():
-                    self._abort(ticket, EstimateCancelled("scheduler stopped"))
-                    return
-                with self._lock:
-                    self._pool_busy[pair] = self._pool_busy.get(pair, 0) + 1
-                pool.submit_chunk(
-                    payload,
-                    vectorized,
-                    callback=lambda counts, t=ticket, p=pair, n=n_trials: (
-                        self._on_ticket_chunk(t, p, n, counts)
-                    ),
-                    error_callback=lambda exc, t=ticket, p=pair: (
-                        self._on_chunk_error(t, p, exc)
-                    ),
-                )
-        if ticket._cancelled and not ticket.done():
-            self._abort(ticket, EstimateCancelled("request cancelled"))
-
-    def _on_ticket_chunk(
-        self, ticket: Ticket, pair: tuple, n_trials: int, counts: np.ndarray
-    ) -> None:
-        self._release_slot(pair)
-        self.counters.increment("chunks_executed")
-        self.counters.increment("trials_executed", n_trials)
-        self._h_chunk.observe(n_trials)
-        self._log.debug(
-            "chunk_completed",
-            trace_id=ticket.trace_id,
-            trials=n_trials,
-            algorithm=ticket.request.algorithm,
+        budget = (
+            ticket.target if ticket.stopping is None
+            else self._round_budget(ticket)
         )
-        finish = False
+        size = self.chunk_trials
+        vectorized = ticket.mode == "vectorized"
+        wanted: list[tuple[range, int]] = []
         with self._lock:
-            ticket.counts += counts
-            ticket.trials_done += n_trials
-            ticket.trials_run += n_trials
-            if ticket.trials_done >= ticket.target and not ticket.done():
-                finish = True
-        if finish:
+            if ticket.fixed:
+                for i in range(math.ceil(budget / size)):
+                    n = min(size, budget - i * size)
+                    lo = i if vectorized else i * size
+                    wanted.append((range(lo, lo + (1 if vectorized else n)), n))
+            else:
+                barred = ticket.used.copy()
+                barred.update(self.cache.used_indices(*ticket.pair, ticket.root))
+                taken = barred.copy()
+                left = budget
+                shared = sorted(
+                    (
+                        c for c in self._flight.values()
+                        if c.pair == ticket.pair and c.root == ticket.root
+                    ),
+                    key=lambda c: c.indices.start,
+                )
+                for chunk in shared:
+                    taken.add(chunk.indices)
+                    if (
+                        chunk.mode == ticket.mode
+                        and chunk.trials <= left
+                        and not barred.overlaps(chunk.indices)
+                    ):
+                        # Bar its indices too: fixed-budget chunks of
+                        # one root can overlap (exact [0,50) and [0,64)).
+                        barred.add(chunk.indices)
+                        wanted.append((chunk.indices, chunk.trials))
+                        left -= chunk.trials
+                while left > 0:
+                    n = min(size, left)
+                    indices = taken.first_free(1 if vectorized else n)
+                    taken.add(indices)
+                    wanted.append((indices, n))
+                    left -= n
+            ticket.rounds += 1
+            ticket.pending = ticket.round_chunks = len(wanted)
+            ticket.round_start_trials = ticket.trials_done
+            for indices, n in wanted:
+                key = (ticket.pair, ticket.root, indices, n, ticket.mode)
+                ticket.used.add(indices)
+                chunk = self._flight.get(key)
+                if chunk is None:
+                    self._flight[key] = chunk = _Chunk(key, ticket)
+                    self._queue.put(chunk)
+                    continue
+                chunk.subscribers.append(ticket)
+                if not ticket.coalesced:
+                    ticket.coalesced = True
+                    self.counters.increment("coalesced_requests")
+                    self._log.info(
+                        "request_coalesced",
+                        trace_id=ticket.trace_id,
+                        primary_trace_id=chunk.subscribers[0].trace_id,
+                        request_id=ticket.request.id,
+                    )
+
+    def _round_done(self, ticket: Ticket) -> None:
+        """Every chunk of the ticket's round has landed: finish or go on."""
+        if ticket.dead:
+            if not ticket.done():
+                self._abort(ticket, EstimateCancelled("request cancelled"))
+            return
+        if ticket.stopping is None:
             est = JoinEstimate(
                 counts=ticket.counts.copy(), trials=ticket.trials_done
             )
             self.cache.put(ticket.key, est)
-            # Fixed-budget executions feed the evidence pool too, tagged
-            # by their exact cache key so deterministic repeats (after an
-            # exact-plane eviction) can never double-deposit.
-            self.cache.add_evidence(
-                ticket.graph_hash,
-                ticket.request.algorithm_key(),
-                est,
-                tag=ticket.key,
-            )
-            with self._lock:
-                if self._inflight.get(ticket.key) is ticket:
-                    self._inflight.pop(ticket.key, None)
             self._finish(ticket, est, cached=False)
+            return
+        counts, trials = ticket.combined()
+        decision = ticket.stopping.check(counts, trials)
+        self._log.debug(
+            "round_completed",
+            trace_id=ticket.trace_id,
+            round=ticket.rounds,
+            trials=trials,
+            node_halfwidth=round(decision.node_halfwidth, 6),
+            satisfied=decision.satisfied,
+        )
+        stop = decision.should_stop or ticket.trials_done >= ticket.target
+        ticket.frames.append(
+            self._precision_frame(
+                ticket,
+                decision,
+                chunks=ticket.round_chunks,
+                new_trials=ticket.trials_done - ticket.round_start_trials,
+                predicted=0 if stop else self._round_budget(ticket),
+            )
+        )
+        if not stop:
+            self._start_round(ticket)
+            return
+        self._conclude(ticket, decision)
+        est = JoinEstimate(counts=counts.copy(), trials=trials)
+        self._finish(ticket, est, cached=False)
 
-    def _on_chunk_error(
-        self, ticket: Ticket, pair: tuple, exc: BaseException
-    ) -> None:
-        self._release_slot(pair)
-        self._abort(ticket, exc)
+    def _conclude(self, ticket: Ticket, decision: StopDecision) -> None:
+        ticket.stopped_early = decision.satisfied
+        ticket.achieved = decision.achieved()
+        if decision.satisfied:
+            self.counters.increment("early_stops")
+            self._c_early.labels(algorithm=ticket.request.algorithm).inc()
+        else:
+            self._c_capped.labels(algorithm=ticket.request.algorithm).inc()
 
-    def _release_slot(self, pair: tuple) -> None:
-        with self._lock:
-            self._pool_busy[pair] = max(0, self._pool_busy.get(pair, 0) - 1)
-        try:
-            self._sem.release()
-        except ValueError:  # pragma: no cover - defensive
-            pass
-
-    # ---- precision rounds (sequential stopping) ----------------------- #
     def _round_budget(self, ticket: Ticket) -> int:
         """Trials to execute in the next round of a precision request.
 
@@ -797,278 +711,184 @@ class BatchScheduler:
             frames=(frame,),
         )
 
-    def _dispatch_precision_round(self, ticket: Ticket) -> None:
-        """Submit one round of chunks for a precision-targeted request."""
-        if ticket.dead:
-            self._abort(ticket, EstimateCancelled("request cancelled"))
+    # ------------------------------------------------------------------ #
+    # dispatcher
+    # ------------------------------------------------------------------ #
+    def _loop(self) -> None:
+        while True:
+            chunk = self._queue.get()
+            if chunk is None:
+                break
+            try:
+                self._dispatch(chunk)
+            except BaseException as exc:  # noqa: BLE001 - fail the requests
+                self._fail_chunk(chunk, exc)
+
+    def _acquire_slot(self) -> bool:
+        """Bounded-concurrency gate; gives up when hard-stopped."""
+        while not self._sem.acquire(timeout=0.05):
+            if self._hard_stop:
+                return False
+        if self._hard_stop:
+            self._sem.release()
+            return False
+        return True
+
+    def _pool_for(self, ticket_pair: tuple, algorithm, graph) -> TrialPool:
+        with self._lock:
+            pool = self._pools.get(ticket_pair)
+            if pool is not None:
+                self._pools.move_to_end(ticket_pair)
+                return pool
+        pool = TrialPool(
+            algorithm,
+            graph,
+            workers=self.workers,
+            context=self._context,
+            shm=self._shm,
+            telemetry=self.telemetry,
+        )
+        self.counters.increment("pools_created")
+        with self._lock:
+            self._pools[ticket_pair] = pool
+            self._pool_busy.setdefault(ticket_pair, 0)
+            victims = []
+            if len(self._pools) > self.max_pools:
+                for key in list(self._pools):
+                    if len(self._pools) <= self.max_pools:
+                        break
+                    if key != ticket_pair and self._pool_busy.get(key, 0) == 0:
+                        victims.append((key, self._pools.pop(key)))
+                        self._pool_busy.pop(key, None)
+        for _key, victim in victims:
+            victim.close(wait=True)
+            self.counters.increment("pools_evicted")
+        with self._lock:
+            self._g_pools.set(len(self._pools))
+        return pool
+
+    def _dispatch(self, chunk: _Chunk) -> None:
+        """Submit one chunk to its pair's pool, unless nobody wants it."""
+        with self._lock:
+            subscribers = list(chunk.subscribers)
+            live = [t for t in subscribers if not t.dead]
+            if not live:
+                self._retire(chunk)
+        for ticket in subscribers:
+            if ticket._cancelled and not ticket.done():
+                self._abort(ticket, EstimateCancelled("request cancelled"))
+        if not live:
             return
-        with bind_trace(ticket.trace_id, ticket.parent_span_id), use_registry(
+        owner = live[0]
+        # Re-enter the owner's trace on the dispatcher thread and bind
+        # the service registry so pool/engine observations land here.
+        with bind_trace(owner.trace_id, owner.parent_span_id), use_registry(
             self.registry
         ), span(
-            "scheduler.dispatch_round",
-            algorithm=ticket.request.algorithm,
-            round=ticket.rounds,
-            mode=ticket.mode,
+            "scheduler.dispatch",
+            algorithm=owner.request.algorithm,
+            round=owner.rounds,
+            trials=chunk.trials,
+            mode=chunk.mode,
         ):
-            budget = self._round_budget(ticket)
-            if budget <= 0:
-                # Cap already consumed (e.g. prior nearly at cap): settle.
-                self._settle_precision(ticket)
-                return
-            pair = (ticket.graph_hash, ticket.request.algorithm_key())
-            pool = self._pool_for(pair, ticket.algorithm, ticket.graph)
-            vectorized = ticket.mode == "vectorized"
-            sizes = [
-                min(self.chunk_trials, budget - i * self.chunk_trials)
-                for i in range(math.ceil(budget / self.chunk_trials))
-            ]
-            with self._lock:
-                ticket.rounds += 1
-                ticket.inflight_chunks = len(sizes)
-                ticket.round_chunks = len(sizes)
-                ticket.round_start_trials = ticket.trials_done
-            for n_trials in sizes:
-                if not self._acquire_slot():
-                    self._abort(ticket, EstimateCancelled("scheduler stopped"))
-                    return
-                chunk_seed = ticket.seed_root.spawn(1)[0]
-                payload = (
-                    (chunk_seed, n_trials)
-                    if vectorized
-                    else chunk_seed.spawn(n_trials)
-                )
-                with self._lock:
-                    self._pool_busy[pair] = self._pool_busy.get(pair, 0) + 1
-                pool.submit_chunk(
-                    payload,
-                    vectorized,
-                    callback=lambda counts, t=ticket, p=pair, n=n_trials: (
-                        self._on_precision_chunk(t, p, n, counts)
-                    ),
-                    error_callback=lambda exc, t=ticket, p=pair: (
-                        self._on_chunk_error(t, p, exc)
-                    ),
-                )
-
-    def _on_precision_chunk(
-        self, ticket: Ticket, pair: tuple, n_trials: int, counts: np.ndarray
-    ) -> None:
-        self._release_slot(pair)
-        self.counters.increment("chunks_executed")
-        self.counters.increment("trials_executed", n_trials)
-        self._h_chunk.observe(n_trials)
-        with self._lock:
-            ticket.counts += counts
-            ticket.trials_done += n_trials
-            ticket.trials_run += n_trials
-            ticket.inflight_chunks -= 1
-            round_done = ticket.inflight_chunks <= 0
-        if not round_done:
-            return
-        if ticket.dead:
-            if not ticket.done():
-                self._abort(ticket, EstimateCancelled("request cancelled"))
-            return
-        assert ticket.stopping is not None
-        combined_counts, combined_trials = ticket.combined()
-        decision = ticket.stopping.check(combined_counts, combined_trials)
-        self._log.debug(
-            "round_completed",
-            trace_id=ticket.trace_id,
-            round=ticket.rounds,
-            trials=combined_trials,
-            node_halfwidth=round(decision.node_halfwidth, 6),
-            satisfied=decision.satisfied,
-        )
-        stopping = decision.should_stop or ticket.trials_done >= ticket.target
-        ticket.frames.append(
-            self._precision_frame(
-                ticket,
-                decision,
-                chunks=ticket.round_chunks,
-                new_trials=ticket.trials_done - ticket.round_start_trials,
-                predicted=0 if stopping else self._round_budget(ticket),
-            )
-        )
-        if decision.should_stop or ticket.trials_done >= ticket.target:
-            ticket.stopped_early = decision.satisfied
-            ticket.achieved = decision.achieved()
-            if decision.satisfied:
-                self.counters.increment("early_stops")
-                self._c_early.labels(algorithm=ticket.request.algorithm).inc()
-            else:
-                self._c_capped.labels(algorithm=ticket.request.algorithm).inc()
-            self._settle_precision(ticket)
-        else:
-            self._queue.put(ticket)
-
-    def _settle_precision(self, ticket: Ticket) -> None:
-        """Finish a precision ticket: deposit its new evidence, report."""
-        if ticket.trials_done > 0:
-            # Seeded runs carry a dedup tag so an identical re-run (after
-            # evidence eviction) cannot double-count correlated samples.
-            tag = None
-            if ticket.request.seed is not None:
-                tag = (
-                    "precision", ticket.request.seed, ticket.mode,
-                    ticket.trials_done,
-                )
-            self.cache.add_evidence(
-                ticket.graph_hash,
-                ticket.request.algorithm_key(),
-                JoinEstimate(
-                    counts=ticket.counts.copy(), trials=ticket.trials_done
-                ),
-                tag=tag,
-            )
-        combined_counts, combined_trials = ticket.combined()
-        if combined_trials <= 0:  # pragma: no cover - defensive
-            self._abort(
-                ticket, RuntimeError("precision request produced no trials")
-            )
-            return
-        est = JoinEstimate(counts=combined_counts.copy(), trials=combined_trials)
-        self._finish(ticket, est, cached=False)
-
-    # ---- seedless streams --------------------------------------------- #
-    def _stream_need(self, stream: _Stream) -> int:
-        """Trials still to dispatch so every subscriber can reach target."""
-        with self._lock:
-            shortfall = 0
-            for sub in stream.subscribers:
-                if sub.dead:
-                    continue
-                shortfall = max(
-                    shortfall,
-                    sub.target - sub.trials_done - stream.inflight_trials,
-                )
-            return shortfall
-
-    def _dispatch_stream(self, stream: _Stream) -> None:
-        graph_hash, algorithm_key, _mode = stream.pair
-        with self._lock:
-            live = [s for s in stream.subscribers if not s.dead]
-        if not live:
-            self._close_stream(stream)
-            return
-        exemplar = live[0]
-        with bind_trace(
-            exemplar.trace_id, exemplar.parent_span_id
-        ), use_registry(self.registry), span(
-            "scheduler.dispatch_stream",
-            algorithm=exemplar.request.algorithm,
-            subscribers=len(live),
-        ):
-            self._pump_stream(stream, exemplar, graph_hash, algorithm_key)
-
-    def _pump_stream(
-        self,
-        stream: _Stream,
-        exemplar: Ticket,
-        graph_hash: str,
-        algorithm_key: str,
-    ) -> None:
-        pair = (graph_hash, algorithm_key)
-        pool = self._pool_for(pair, exemplar.algorithm, exemplar.graph)
-        vectorized = exemplar.mode == "vectorized"
-        while True:
-            need = self._stream_need(stream)
-            if need <= 0:
-                break
-            n_trials = min(self.chunk_trials, need)
-            chunk_seed = stream.root.spawn(1)[0]
+            pool = self._pool_for(chunk.pair, owner.algorithm, owner.graph)
             if not self._acquire_slot():
-                for sub in list(stream.subscribers):
-                    self._abort(sub, EstimateCancelled("scheduler stopped"))
-                self._close_stream(stream)
+                self._fail_chunk(chunk, EstimateCancelled("scheduler stopped"))
                 return
             with self._lock:
-                stream.inflight_trials += n_trials
-                self._pool_busy[pair] = self._pool_busy.get(pair, 0) + 1
-            payload = (
-                (chunk_seed, n_trials)
-                if vectorized
-                else chunk_seed.spawn(n_trials)
-            )
+                self._pool_busy[chunk.pair] = (
+                    self._pool_busy.get(chunk.pair, 0) + 1
+                )
             pool.submit_chunk(
-                payload,
-                vectorized,
-                callback=lambda counts, s=stream, p=pair, n=n_trials: (
-                    self._on_stream_chunk(s, p, n, counts)
-                ),
-                error_callback=lambda exc, s=stream, p=pair: (
-                    self._on_stream_error(s, p, exc)
-                ),
+                chunk.payload(),
+                chunk.mode == "vectorized",
+                callback=lambda counts, c=chunk: self._on_chunk(c, counts),
+                error_callback=lambda exc, c=chunk: self._on_chunk_error(c, exc),
             )
-        with self._lock:
-            stream.scheduled = False
-            # Late subscribers may have joined after the last need check.
-            if self._stream_need(stream) > 0 and not stream.closed:
-                stream.scheduled = True
-                self._queue.put(stream)
-            elif not any(not s.done() for s in stream.subscribers):
-                self._close_stream(stream)
 
-    def _on_stream_chunk(
-        self, stream: _Stream, pair: tuple, n_trials: int, counts: np.ndarray
-    ) -> None:
-        self._release_slot(pair)
+    def _on_chunk(self, chunk: _Chunk, counts: np.ndarray) -> None:
+        """Merge a landed chunk into the pool and into every subscriber."""
+        self._release_slot(chunk.pair)
         self.counters.increment("chunks_executed")
-        self.counters.increment("trials_executed", n_trials)
-        self._h_chunk.observe(n_trials)
-        # Every stream chunk is fresh entropy executed exactly once, so it
-        # deposits unconditionally (no dedup tag needed).
-        self.cache.add_evidence(
-            stream.pair[0],
-            stream.pair[1],
-            JoinEstimate(counts=counts.copy(), trials=n_trials),
-        )
-        subs_now = list(stream.subscribers)
+        self.counters.increment("trials_executed", chunk.trials)
+        self._h_chunk.observe(chunk.trials)
+        settled: list[Ticket] = []
+        with self._lock:
+            self.cache.add_evidence(
+                *chunk.pair,
+                JoinEstimate(counts=counts, trials=chunk.trials),
+                chunk.root,
+                chunk.indices,
+            )
+            self._retire(chunk)
+            charged = False
+            for ticket in chunk.subscribers:
+                if ticket.done():
+                    continue
+                ticket.pending -= 1
+                if not ticket._cancelled:
+                    ticket.counts += counts
+                    ticket.trials_done += chunk.trials
+                    if not charged:
+                        ticket.trials_run += chunk.trials
+                        charged = True
+                if ticket.pending == 0:
+                    settled.append(ticket)
         self._log.debug(
             "chunk_completed",
-            trace_id=subs_now[0].trace_id if subs_now else None,
-            trials=n_trials,
-            stream=repr(pair[1]),
+            trace_id=chunk.subscribers[0].trace_id,
+            trials=chunk.trials,
+            algorithm=chunk.pair[1],
+            subscribers=len(chunk.subscribers),
         )
-        finished: list[Ticket] = []
-        with self._lock:
-            stream.inflight_trials = max(0, stream.inflight_trials - n_trials)
-            charged = False
-            for sub in stream.subscribers:
-                if sub.dead or sub.trials_done >= sub.target:
-                    continue
-                sub.counts += counts
-                sub.trials_done += n_trials
-                if not charged:
-                    sub.trials_run += n_trials
-                    charged = True
-                if sub.trials_done >= sub.target:
-                    finished.append(sub)
-            for sub in finished:
-                stream.subscribers.remove(sub)
-            drained = not stream.subscribers
-        for sub in finished:
-            est = JoinEstimate(counts=sub.counts.copy(), trials=sub.trials_done)
-            self._finish(sub, est, cached=False)
-        if drained:
-            self._close_stream(stream)
+        for ticket in settled:
+            try:
+                self._round_done(ticket)
+            except BaseException as exc:  # noqa: BLE001 - fail the request
+                self._abort(ticket, exc)
 
-    def _on_stream_error(
-        self, stream: _Stream, pair: tuple, exc: BaseException
-    ) -> None:
-        self._release_slot(pair)
-        with self._lock:
-            subs = list(stream.subscribers)
-            stream.subscribers.clear()
-        for sub in subs:
-            self._abort(sub, exc)
-        self._close_stream(stream)
+    def _on_chunk_error(self, chunk: _Chunk, exc: BaseException) -> None:
+        self._release_slot(chunk.pair)
+        self._fail_chunk(chunk, exc)
 
-    def _close_stream(self, stream: _Stream) -> None:
+    def _fail_chunk(self, chunk: _Chunk, exc: BaseException) -> None:
         with self._lock:
-            stream.closed = True
-            if self._streams.get(stream.pair) is stream:
-                self._streams.pop(stream.pair, None)
+            self._retire(chunk)
+            subscribers = list(chunk.subscribers)
+        for ticket in subscribers:
+            if not ticket.done():
+                self._abort(ticket, exc)
+
+    def _retire(self, chunk: _Chunk) -> None:
+        """Drop *chunk* from the in-flight table (caller holds the lock)."""
+        if self._flight.get(chunk.key) is chunk:
+            del self._flight[chunk.key]
+        self._release_root(chunk.pair, chunk.mode, chunk.root)
+
+    def _release_root(self, pair: tuple, mode: str, root: int) -> None:
+        """Retire a seedless root once no open request and no in-flight
+        chunk uses it (caller holds the lock).
+
+        Its entropy is never drawn again, so its ledger row goes too;
+        the counts it pooled stay.
+        """
+        shared = (*pair, mode)
+        if self._roots.get(shared) != root:
+            return
+        if any(t.root == root for t in self._open) or any(
+            c.root == root for c in self._flight.values()
+        ):
+            return
+        del self._roots[shared]
+        self.cache.forget_root(*pair, root)
+
+    def _release_slot(self, pair: tuple) -> None:
+        with self._lock:
+            self._pool_busy[pair] = max(0, self._pool_busy.get(pair, 0) - 1)
+        try:
+            self._sem.release()
+        except ValueError:  # pragma: no cover - defensive
+            pass
 
     # ------------------------------------------------------------------ #
     # completion / records
@@ -1084,8 +904,7 @@ class BatchScheduler:
         self._h_realized.labels(algorithm=ticket.request.algorithm).observe(
             trials_run
         )
-        with self._lock:
-            self._dynamic.discard(ticket)
+        self._close(ticket)
         self._log.info(
             "request_completed",
             trace_id=ticket.trace_id,
@@ -1116,37 +935,6 @@ class BatchScheduler:
         ticket._complete(result)
         self.journal.record(trace)
         self._record(ticket, result)
-        with self._lock:
-            subscribers = list(ticket.subscribers)
-        for sub in subscribers:
-            if sub.done():
-                continue
-            sub_latency = time.perf_counter() - sub.submitted_at
-            self._h_latency.labels(algorithm=sub.request.algorithm).observe(
-                sub_latency
-            )
-            self._log.info(
-                "request_completed",
-                trace_id=sub.trace_id,
-                request_id=sub.request.id,
-                algorithm=sub.request.algorithm,
-                cached=cached,
-                coalesced=True,
-                trials_run=0,
-                latency_s=round(sub_latency, 6),
-            )
-            sub_result = EstimateResult(
-                request=sub.request,
-                estimate=estimate,
-                graph_hash=sub.graph_hash,
-                mode=sub.mode,
-                cached=cached,
-                coalesced=True,
-                trials_run=0,
-                latency_s=sub_latency,
-            )
-            sub._complete(sub_result)
-            self._record(sub, sub_result)
 
     def _record(self, ticket: Ticket, result: EstimateResult) -> None:
         self.records.append(
@@ -1177,16 +965,16 @@ class BatchScheduler:
             algorithm=ticket.request.algorithm,
             error=f"{type(exc).__name__}: {exc}",
         )
-        with self._lock:
-            if ticket.key is not None and self._inflight.get(ticket.key) is ticket:
-                self._inflight.pop(ticket.key, None)
-            self._dynamic.discard(ticket)
-            subs = list(ticket.subscribers)
+        self._close(ticket)
         if not ticket.done():
             ticket._fail(exc)
-        for sub in subs:
-            if not sub.done():
-                sub._fail(exc)
+
+    def _close(self, ticket: Ticket) -> None:
+        """Forget an ending request; retire its seedless root if unused."""
+        with self._lock:
+            self._open.discard(ticket)
+            self._g_queue.set(len(self._open))
+            self._release_root(ticket.pair, ticket.mode, ticket.root)
 
     # ------------------------------------------------------------------ #
     # shutdown
@@ -1219,33 +1007,24 @@ class BatchScheduler:
         if not wait:
             self._hard_stop = True
             with self._lock:
-                pending = list(self._inflight.values())
-                streams = list(self._streams.values())
-                dynamic = list(self._dynamic)
-            for ticket in pending:
-                ticket.cancel()
-            for stream in streams:
-                for sub in stream.subscribers:
-                    sub.cancel()
-            for ticket in dynamic:
+                open_tickets = list(self._open)
+            for ticket in open_tickets:
                 ticket.cancel()
         else:
-            # Precision tickets requeue themselves between rounds, so the
-            # dispatcher must keep draining until they settle; only then
-            # may the stop sentinel go in.
+            # Requests plan their next round as the last one lands, so
+            # the dispatcher must keep draining until every open request
+            # settles; only then may the stop sentinel go in.
             deadline = (
                 time.monotonic() + timeout if timeout is not None else None
             )
             while True:
                 with self._lock:
-                    open_dynamic = [
-                        t for t in self._dynamic if not t.done()
-                    ]
-                if not open_dynamic or not self._thread.is_alive():
+                    waiting = [t for t in self._open if not t.done()]
+                if not waiting or not self._thread.is_alive():
                     break
                 if deadline is not None and time.monotonic() >= deadline:
                     break
-                open_dynamic[0]._event.wait(0.05)
+                waiting[0]._event.wait(0.05)
         self._queue.put(None)
         self._thread.join(timeout)
         with self._lock:
@@ -1256,20 +1035,10 @@ class BatchScheduler:
             pool.close(wait=wait)
         if not wait:
             with self._lock:
-                pending = list(self._inflight.values())
-                self._inflight.clear()
-                streams = list(self._streams.values())
-                self._streams.clear()
-                dynamic = list(self._dynamic)
-                self._dynamic.clear()
+                open_tickets = list(self._open)
+                self._open.clear()
+                self._flight.clear()
             exc = EstimateCancelled("service shut down")
-            for ticket in pending:
-                if not ticket.done():
-                    ticket._fail(exc)
-            for stream in streams:
-                for sub in stream.subscribers:
-                    if not sub.done():
-                        sub._fail(exc)
-            for ticket in dynamic:
+            for ticket in open_tickets:
                 if not ticket.done():
                     ticket._fail(exc)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.frontend.admission import (
     AdmissionController,
-    LastWindowEstimator,
     PeakHoldEstimator,
     TokenBucket,
 )
@@ -19,6 +18,40 @@ class FakeClock:
 
     def advance(self, dt: float) -> None:
         self.t += dt
+
+
+class LastWindowEstimator:
+    """The naive alternative: mean load over a short trailing window.
+
+    The bouncing baseline for the square-wave comparison: its estimate
+    collapses as soon as a burst leaves the window, which is exactly the
+    behaviour the peak-hold design exists to avoid.
+    """
+
+    def __init__(self, window_s: float, clock) -> None:
+        if window_s <= 0:
+            raise ValueError("window_s must be positive")
+        self.window_s = float(window_s)
+        self._clock = clock
+        self._samples: list[tuple[float, float]] = []
+
+    def observe(self, load: float) -> float:
+        now = self._clock()
+        self._samples.append((now, max(0.0, float(load))))
+        cutoff = now - self.window_s
+        self._samples = [(t, v) for t, v in self._samples if t >= cutoff]
+        return self.peak
+
+    @property
+    def peak(self) -> float:
+        """Mean of the in-window samples (0 when the window is empty)."""
+        if not self._samples:
+            return 0.0
+        return sum(v for _, v in self._samples) / len(self._samples)
+
+    @property
+    def current(self) -> float:
+        return self._samples[-1][1] if self._samples else 0.0
 
 
 class TestPeakHoldEstimator:

@@ -102,18 +102,6 @@ class TestServiceCounters:
         c.reset()
         assert all(v == 0 for v in c.snapshot().values())
 
-    def test_attribute_reads(self):
-        import pytest
-
-        from repro.runtime import ServiceCounters
-
-        c = ServiceCounters()
-        c.increment("cache_hits", 2)
-        assert c.cache_hits == 2
-        assert c.requests == 0
-        with pytest.raises(AttributeError):
-            c.no_such_counter
-
     def test_backed_by_registry(self):
         # The shim exposes the same totals through the metrics registry.
         from repro.runtime import ServiceCounters

@@ -25,6 +25,7 @@ from repro.service import (
     EstimateCancelled,
     EstimateTimeout,
     Estimator,
+    Precision,
 )
 
 TREE = "tree:40:3"
@@ -158,6 +159,54 @@ class TestCoalescing:
         # Both subscribers drained one shared chunk stream.
         assert snap["trials_executed"] == 48
         assert snap["coalesced_requests"] == 1
+
+    def test_concurrent_precision_requests_share_chunks(self, slow_algorithm):
+        # A precision request subscribes to in-flight chunks of its seed
+        # root, so an identical concurrent one runs nothing itself and
+        # every trial is executed (and pooled) once.
+        kwargs = dict(
+            graph_spec=TREE, algorithm=slow_algorithm, seed=9,
+            precision=Precision(node_ci=0.001, min_trials=48, max_trials=48),
+        )
+        with Estimator(n_jobs=1, chunk_trials=8) as svc:
+            first = svc.submit(**kwargs)
+            second = svc.submit(**kwargs)
+            a = first.result(timeout=30)
+            b = second.result(timeout=30)
+            snap = svc.counters.snapshot()
+        assert a.realized_trials == b.realized_trials == 48
+        assert np.array_equal(a.estimate.counts, b.estimate.counts)
+        assert snap["trials_executed"] == 48
+        assert b.coalesced and b.trials_run == 0
+
+    def test_precision_request_skips_overlapping_in_flight_chunks(
+        self, slow_algorithm
+    ):
+        # Two exact fixed-budget requests on one seed put chunks over
+        # indices [0,32) and [0,64) in flight.  A precision request on
+        # that seed may subscribe to only one of them, then draws fresh
+        # indices after both, so it never counts trials 0-31 twice.
+        graph = build_graph(TREE)
+        algorithm = make(slow_algorithm)
+        head = run_trials(algorithm, graph, 32, seed=9).counts
+        tail = (
+            run_trials(algorithm, graph, 160, seed=9).counts
+            - run_trials(algorithm, graph, 64, seed=9).counts
+        )
+        kwargs = dict(
+            graph_spec=TREE, algorithm=slow_algorithm, seed=9, mode="exact"
+        )
+        with Estimator(n_jobs=1, chunk_trials=128) as svc:
+            svc.submit(trials=32, **kwargs)
+            svc.submit(trials=64, **kwargs)
+            follow = svc.submit(
+                precision=Precision(
+                    node_ci=0.001, min_trials=128, max_trials=128
+                ),
+                **kwargs,
+            ).result(timeout=30)
+        assert follow.realized_trials == 128
+        assert np.array_equal(follow.estimate.counts, head + tail)
 
     def test_request_records_capture_latency(self):
         with Estimator(n_jobs=1) as svc:

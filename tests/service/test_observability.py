@@ -203,8 +203,8 @@ class TestServiceMetrics:
                 graph=graph, algorithm="luby_fast", trials=4, seed=0,
                 mode="exact",
             )
-            assert a.counters.requests == 1
-            assert b.counters.requests == 0
+            assert a.counters.snapshot()["requests"] == 1
+            assert b.counters.snapshot()["requests"] == 0
             assert (
                 b.registry.snapshot()["counters"]["service_requests_total"][""]
                 == 0.0

@@ -6,13 +6,17 @@ MIS is exactly one endpoint, so every node's true join frequency is 0.5
 check coverage against.
 """
 
+import hashlib
 import json
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.analysis import run_trials
 from repro.cli import _service_loop
+from repro.core import make
+from repro.graphs import build_graph
 from repro.service import (
     EstimateRequest,
     Estimator,
@@ -243,6 +247,123 @@ class TestEvidenceReuse:
                 graph_spec="path:4", algorithm="luby_fast", trials=64, seed=0
             ).algorithm_key()
             assert svc.cache.evidence_trials(graph_hash, key) == 64
+
+
+def _capped(trials: int) -> Precision:
+    """A target no run can meet, so the request runs exactly *trials*."""
+    return Precision(node_ci=0.001, min_trials=trials, max_trials=trials)
+
+
+class TestTrialIdentity:
+    """Each pooled trial is counted once: new trials come from spawn
+    indices of the seed root that the evidence ledger does not hold."""
+
+    GRAPH = "tree:200:1"
+
+    def _run(self, svc, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            return svc.estimate(
+                graph_spec=self.GRAPH, algorithm="luby_fast", **kwargs
+            )
+
+    def test_v2_after_v1_runs_new_trials(self):
+        with Estimator(n_jobs=1) as svc:
+            first = self._run(svc, trials=64, seed=0)
+            follow = self._run(svc, precision=_capped(128), seed=0)
+        assert follow.prior_trials == 64 and follow.realized_trials == 128
+        new = follow.estimate.counts - first.estimate.counts
+        assert not np.array_equal(new, first.estimate.counts)
+
+    def test_larger_cap_after_v2_runs_new_trials(self):
+        with Estimator(n_jobs=1) as svc:
+            first = self._run(svc, precision=_capped(64), seed=5)
+            follow = self._run(svc, precision=_capped(128), seed=5)
+        assert first.realized_trials == 64
+        assert follow.prior_trials == 64 and follow.realized_trials == 128
+        new = follow.estimate.counts - first.estimate.counts
+        assert not np.array_equal(new, first.estimate.counts)
+
+    def test_v1_after_v2_is_bit_identical_but_not_pooled_again(self):
+        with Estimator(n_jobs=1) as cold:
+            reference = self._run(cold, trials=64, seed=3)
+        with Estimator(n_jobs=1) as svc:
+            self._run(svc, precision=_capped(128), seed=3)
+            graph_hash = svc.records[-1].graph_hash
+            pooled = svc.cache.evidence_trials(graph_hash, "luby_fast")
+            again = self._run(svc, trials=64, seed=3)
+            assert svc.cache.evidence_trials(graph_hash, "luby_fast") == pooled
+        assert pooled == 128
+        assert np.array_equal(again.estimate.counts, reference.estimate.counts)
+
+    def test_exact_v2_uses_one_spawn_index_per_trial(self):
+        # Exact chunks seed trial i from child i of SeedSequence(seed), as
+        # v1 exact and run_trials do, so a cold exact v2 request equals
+        # the serial run, and a follow-up continues the same sequence.
+        graph = build_graph(self.GRAPH)
+        serial = run_trials(make("luby_fast"), graph, 160, seed=4)
+        head = run_trials(make("luby_fast"), graph, 96, seed=4)
+        with Estimator(n_jobs=1, chunk_trials=32) as svc:
+            cold = self._run(svc, precision=_capped(96), seed=4, mode="exact")
+            follow = self._run(svc, precision=_capped(160), seed=4, mode="exact")
+        assert np.array_equal(cold.estimate.counts, head.counts)
+        assert follow.prior_trials == 96
+        assert np.array_equal(follow.estimate.counts, serial.counts)
+
+    def test_seedless_follow_up_draws_fresh_trials(self):
+        with Estimator(n_jobs=1) as svc:
+            first = self._run(svc, trials=64, seed=None)
+            follow = self._run(svc, precision=_capped(128), seed=None)
+        assert follow.prior_trials == 64
+        new = follow.estimate.counts - first.estimate.counts
+        assert not np.array_equal(new, first.estimate.counts)
+
+
+def _digest(estimate) -> str:
+    h = hashlib.sha256(np.asarray(estimate.counts, dtype=np.int64).tobytes())
+    h.update(str(int(estimate.trials)).encode())
+    return h.hexdigest()[:16]
+
+
+class TestPerSeedStability:
+    """Seeded v1 results (exact and vectorized) and cold seeded
+    vectorized v2 results keep the counts the service returned before
+    trial identity moved into the evidence ledger (digests recorded on
+    the earlier scheduler)."""
+
+    @pytest.mark.parametrize(
+        "chunk_trials, request_kwargs, digest, trials",
+        [
+            (64, dict(graph_spec="tree:200:1", algorithm="luby_fast",
+                      trials=100, seed=3), "f2325400ccd335ca", 100),
+            (16, dict(graph_spec="tree:200:1", algorithm="fair_tree_fast",
+                      trials=70, seed=4), "d9d5138f54cccb07", 70),
+            (16, dict(graph_spec="tree:200:1", algorithm="luby_fast",
+                      trials=50, seed=2, mode="exact"),
+             "fd75a9557b88af6f", 50),
+            (64, dict(graph_spec="tree:120:2", algorithm="fair_tree_fast",
+                      trials=90, seed=6, mode="exact"),
+             "df92ca7d95cf50d9", 90),
+            (64, dict(graph_spec="tree:200:1", algorithm="luby_fast",
+                      precision=Precision(node_ci=0.1), seed=7),
+             "e7541d4b8a0b2b73", 128),
+            (32, dict(graph_spec="tree:120:2", algorithm="fair_tree_fast",
+                      precision=Precision(node_ci=0.12, max_trials=400),
+                      seed=8),
+             "47f4e3c3c4193725", 68),
+        ],
+        ids=["v1-vec-luby", "v1-vec-fair", "v1-exact-luby", "v1-exact-fair",
+             "v2-vec-luby", "v2-vec-fair"],
+    )
+    def test_counts_match_recorded_digest(
+        self, chunk_trials, request_kwargs, digest, trials
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            with Estimator(n_jobs=1, chunk_trials=chunk_trials) as svc:
+                result = svc.estimate(**request_kwargs)
+        assert result.estimate.trials == trials
+        assert _digest(result.estimate) == digest
 
 
 class TestHardCap:
