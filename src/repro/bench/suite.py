@@ -810,7 +810,7 @@ def _frontend_load(config: BenchConfig) -> dict[str, dict[str, Any]]:
     async def start(shards: int, queue_limit: int = 128):
         cfg = FrontendConfig(
             shards=shards, shard_jobs=1, include_counts=False,
-            queue_limit=queue_limit, inherit_shard_stderr=False,
+            queue_limit=queue_limit,
         )
         fe = Frontend(cfg, registry=MetricsRegistry())
         ready = asyncio.Event()
@@ -911,8 +911,6 @@ def _frontend_load(config: BenchConfig) -> dict[str, dict[str, Any]]:
             #    capacity with uncached graphs; shedding must happen and
             #    every non-success must carry a structured code.
             fe1.config.queue_limit = 2
-            for shard in fe1.shards:
-                shard.queue_limit = 2
             overload_rate = max(50.0, 4.0 / mean_lat)
             overload = await run_loadgen(
                 "127.0.0.1", port1,

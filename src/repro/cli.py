@@ -242,7 +242,7 @@ def _service_loop(
     """
     from .frontend.protocol import (
         DEFAULT_MAX_LINE_BYTES,
-        error_payload,
+        answer_request,
         parse_request_line,
     )
     from .service import Estimator
@@ -269,22 +269,11 @@ def _service_loop(
                     "(see docs/API.md)",
                     file=sys.stderr,
                 )
-            if not parsed.ok:
+            payload = answer_request(
+                service, parsed, include_counts=include_counts, lineno=lineno
+            )
+            if "error" in payload:
                 errors += 1
-                payload = parsed.error
-            else:
-                try:
-                    result = service.estimate(parsed.request)
-                    payload = result.to_json(include_counts=include_counts)
-                except Exception as exc:  # noqa: BLE001 - reported per request
-                    errors += 1
-                    payload = error_payload(
-                        "internal",
-                        str(exc),
-                        version=parsed.version,
-                        line=lineno,
-                        request_id=parsed.request.id,
-                    )
             out.write(json.dumps(payload) + "\n")
             out.flush()
             served += 1
@@ -436,7 +425,6 @@ def _cmd_serve_network(args: argparse.Namespace) -> None:
         admission_half_life_s=args.admission_half_life,
         shed_threshold=args.shed_threshold,
         max_line_bytes=args.max_line_bytes or DEFAULT_MAX_LINE_BYTES,
-        shard_log_level=args.log_level,
     )
     runner = run_tcp_server if args.tcp else run_http_server
     frontend = Frontend(config)
@@ -1373,8 +1361,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tcp",
         default=None,
         metavar="HOST:PORT",
-        help="serve the JSON line protocol over TCP, fanned across "
-        "--shards serve subprocesses",
+        help="serve the JSON line protocol over TCP, routed across "
+        "--shards in-process shards",
     )
     net.add_argument(
         "--http",
@@ -1387,22 +1375,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="shard subprocesses behind the front end (each owns its "
-        "own pools, cache, and evidence)",
+        help="shards behind the front end: in-process estimators, "
+        "each owning its own pools, cache, and evidence",
     )
     net.add_argument(
         "--shard-jobs",
         type=int,
         default=1,
-        help="worker processes per shard (the shard's serve --jobs)",
+        help="worker processes per shard (like serve --jobs; 1 runs "
+        "trials inline)",
     )
     net.add_argument(
         "--queue-limit",
         type=int,
         default=64,
         metavar="N",
-        help="max in-flight requests per shard; a full queue sheds "
-        "with a structured overloaded error",
+        help="max in-flight requests per shard (each holds a thread); "
+        "a full queue sheds with a structured overloaded error",
     )
     net.add_argument(
         "--rate-limit",

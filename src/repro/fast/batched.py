@@ -109,6 +109,13 @@ def disjoint_power_cache_clear() -> None:
         _union_cache_stats["misses"] = 0
 
 
+def _copies(batch: int, left: int, n: int) -> int:
+    """Copies in the next union: at most *batch*, never past *left*
+    trials, and few enough that the union stays within the fast
+    engine's 2^24-node priority-key range."""
+    return max(1, min(batch, left, (1 << 24) // max(n, 1)))
+
+
 def _fold_counts(member: np.ndarray, copies: int, n: int) -> np.ndarray:
     """Sum per-copy membership into per-base-vertex join counts."""
     return member.reshape(copies, n).sum(axis=0).astype(np.int64)
@@ -133,7 +140,7 @@ def batched_luby_trials(
     counts = np.zeros(n, dtype=np.int64)
     done = 0
     while done < trials:
-        copies = min(batch, trials - done)
+        copies = _copies(batch, trials - done, n)
         with phase("batched.union"):
             union = disjoint_power(graph, copies)
         with phase("batched.sweep"):
@@ -165,7 +172,7 @@ def batched_fair_tree_trials(
     counts = np.zeros(n, dtype=np.int64)
     done = 0
     while done < trials:
-        copies = min(batch, trials - done)
+        copies = _copies(batch, trials - done, n)
         with phase("batched.union"):
             union = disjoint_power(graph, copies)
         with phase("batched.sweep"):
@@ -204,7 +211,7 @@ def batched_fair_rooted_trials(
     counts = np.zeros(n, dtype=np.int64)
     done = 0
     while done < trials:
-        copies = min(batch, trials - done)
+        copies = _copies(batch, trials - done, n)
         with phase("batched.union"):
             union = disjoint_power(graph, copies)
             if copies == 1:
@@ -247,7 +254,7 @@ def batched_fair_bipart_trials(
     counts = np.zeros(n, dtype=np.int64)
     done = 0
     while done < trials:
-        copies = min(batch, trials - done)
+        copies = _copies(batch, trials - done, n)
         with phase("batched.union"):
             union = disjoint_power(graph, copies)
         with phase("batched.sweep"):
@@ -290,7 +297,7 @@ def batched_color_mis_trials(
     counts = np.zeros(n, dtype=np.int64)
     done = 0
     while done < trials:
-        copies = min(batch, trials - done)
+        copies = _copies(batch, trials - done, n)
         with phase("batched.union"):
             union = disjoint_power(graph, copies)
         with phase("batched.sweep"):

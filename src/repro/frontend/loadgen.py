@@ -24,6 +24,10 @@ __all__ = ["LoadReport", "run_loadgen"]
 
 _SHED_CODES = frozenset({"overloaded", "rate_limited"})
 
+#: Answer lines carry per-node count vectors, far past asyncio's default
+#: 64 KiB line limit on large graphs.
+_MAX_ANSWER_BYTES = 64 * 1024 * 1024
+
 
 def _percentile(sorted_vals: list[float], q: float) -> float:
     if not sorted_vals:
@@ -148,19 +152,21 @@ async def run_loadgen(
 
     Each request is stamped with a unique ``id`` (``lg-<n>``) so the
     pipelined responses — which may arrive out of order — are matched
-    back to their departure times.
+    back to their due times.  Latency runs from when a request was due
+    (``start + i / rate``), not from when it was sent, so a stall that
+    delays sending still shows in the requests queued behind it.
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
-    reader, writer = await asyncio.open_connection(host, port)
+    reader, writer = await asyncio.open_connection(
+        host, port, limit=_MAX_ANSWER_BYTES
+    )
     report = LoadReport(slo_ms=slo_ms)
-    departures: dict[str, float] = {}
+    due: dict[str, float] = {}
     done = asyncio.Event()
 
     async def receive() -> None:
-        while len(departures) < len(requests) or report.completed < len(
-            departures
-        ):
+        while len(due) < len(requests) or report.completed < len(due):
             line = await reader.readline()
             if not line:
                 break
@@ -171,7 +177,7 @@ async def run_loadgen(
                 report.completed += 1
                 continue
             rid = str(obj.get("id", ""))
-            t0 = departures.get(rid)
+            t0 = due.get(rid)
             if t0 is not None and "error" not in obj:
                 report.latencies_ms.append(
                     (time.perf_counter() - t0) * 1e3
@@ -190,7 +196,7 @@ async def run_loadgen(
             await asyncio.sleep(delay)
         rid = f"lg-{i}"
         stamped = {**req, "id": rid}
-        departures[rid] = time.perf_counter()
+        due[rid] = target
         writer.write((json.dumps(stamped) + "\n").encode())
         await writer.drain()
         report.offered += 1

@@ -4,8 +4,9 @@ The estimation service speaks newline-delimited JSON — one request
 object per line, one response object per line (``docs/SERVICE.md``).
 This module is the single place that turns a raw line into either an
 :class:`~repro.service.requests.EstimateRequest` or a **structured
-per-line error object**, so the stdin ``serve`` loop, the shard
-processes, and the network front end all fail identically:
+per-line error object**, and a parsed line into its answer object
+(:func:`answer_request`), so the stdin ``serve`` loop and the network
+front end's in-process shards answer and fail identically:
 
 * malformed JSON            → ``code="bad_json"``
 * not a JSON object         → ``code="bad_json"``
@@ -22,7 +23,8 @@ historical shape (``error`` is the message string, so existing
     {"v": 2, "error": {"code": "bad_request", "message": "..."}, "line": 3}
 
 The front end adds two more codes with the same shapes:
-``rate_limited`` and ``overloaded`` (see :mod:`repro.frontend.server`).
+``rate_limited`` and ``overloaded`` (see :mod:`repro.frontend.server`);
+an estimation that raises answers ``internal``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "DEFAULT_MAX_LINE_BYTES",
     "ERROR_CODES",
     "ParsedLine",
+    "answer_request",
     "error_payload",
     "parse_request_line",
 ]
@@ -55,7 +58,6 @@ ERROR_CODES: tuple[str, ...] = (
     "internal",
     "rate_limited",
     "overloaded",
-    "shard_unavailable",
 )
 
 
@@ -197,3 +199,33 @@ def parse_request_line(
             ),
         )
     return ParsedLine(version=version, request=request, obj=obj)
+
+
+def answer_request(
+    service: Any,
+    parsed: ParsedLine,
+    *,
+    include_counts: bool = True,
+    lineno: int | None = None,
+) -> dict[str, Any]:
+    """The answer object for one parsed line, run on *service*.
+
+    *service* is an :class:`~repro.service.Estimator`.  A line that
+    failed to parse answers its own error; a request answers its
+    result's JSON, or a structured ``internal`` error in the request's
+    shape when estimation raises.  Blocks until the result is ready.
+    """
+    if parsed.error is not None:
+        return parsed.error
+    assert parsed.request is not None
+    try:
+        result = service.estimate(parsed.request)
+        return result.to_json(include_counts=include_counts)
+    except Exception as exc:  # noqa: BLE001 - reported per request
+        return error_payload(
+            "internal",
+            str(exc),
+            version=parsed.version,
+            line=lineno,
+            request_id=parsed.request.id,
+        )

@@ -1,12 +1,13 @@
-"""The sharded network front end: TCP/HTTP in, shard pipes out.
+"""The sharded network front end: TCP/HTTP in, in-process shards out.
 
 One asyncio process accepts newline-delimited JSON over TCP (or single
-requests over minimal HTTP) and fans them across N ``serve`` shard
-subprocesses (:mod:`repro.frontend.shards`).  Every request runs the
-same pipeline:
+requests over minimal HTTP) and routes them across N shards, each an
+in-process :class:`~repro.service.Estimator` with its own worker pools,
+result cache, and evidence plane.  Every request runs the same
+pipeline:
 
-1. **Parse** via :func:`repro.frontend.protocol.parse_request_line` —
-   malformed input never reaches a shard, it turns into a structured
+1. **Parse** once via :func:`repro.frontend.protocol.parse_request_line`
+   — malformed input never reaches a shard, it turns into a structured
    per-line error right here.
 2. **Rate-limit** per client (token bucket keyed by peer address).
 3. **Route** by the graph's canonical spec through rendezvous hashing
@@ -18,9 +19,12 @@ same pipeline:
    deterministic fraction the held peak says we cannot afford —
    returning ``overloaded`` immediately instead of stalling the event
    loop behind a queue that cannot drain.
-5. **Forward** the raw request line to the owning shard and relay its
-   response, annotated with ``"shard": <index>`` so callers (and the
-   bench warm-route gate) can observe routing stability.
+5. **Answer** the parsed request on the owning shard
+   (:func:`repro.frontend.protocol.answer_request`) in a thread — a
+   submission can build a graph and a result blocks until it is ready
+   — and stamp ``"shard": <index>`` on the answer object so callers
+   (and the bench warm-route gate) can observe routing stability.  The
+   TCP and HTTP planes each encode that object once.
 
 Everything the admission plane decides is visible in metrics:
 ``frontend_admitted/shed/rate_limited_total``, per-shard queue-depth
@@ -33,17 +37,25 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import json
+import os
 import time
-from dataclasses import dataclass, field
-from typing import Any, IO, Mapping
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Any, IO, Callable, Mapping
 
 from ..obs.dashboard import snapshot_from_registry
 from ..obs.metrics import MetricsRegistry, get_registry
+from ..service import Estimator
 from .admission import AdmissionController, PeakHoldEstimator, TokenBucket
-from .protocol import DEFAULT_MAX_LINE_BYTES, error_payload, parse_request_line
+from .protocol import (
+    DEFAULT_MAX_LINE_BYTES,
+    answer_request,
+    error_payload,
+    parse_request_line,
+)
 from .routing import RendezvousRouter
-from .shards import ShardClient, ShardUnavailable, shard_argv
 
 __all__ = ["Frontend", "FrontendConfig", "run_tcp_server", "run_http_server"]
 
@@ -69,10 +81,6 @@ class FrontendConfig:
     admission_half_life_s: float = 30.0
     shed_threshold: float = 0.85
     max_line_bytes: int = DEFAULT_MAX_LINE_BYTES
-    max_restarts: int = 3
-    inherit_shard_stderr: bool = True
-    shard_log_level: str | None = None
-    extra_shard_args: list[str] = field(default_factory=list)
 
 
 def _error_code(payload: Mapping[str, Any]) -> str:
@@ -84,7 +92,7 @@ def _error_code(payload: Mapping[str, Any]) -> str:
 
 
 class Frontend:
-    """Shard fan-out plus admission control behind one `handle_line`."""
+    """In-process shards plus admission control behind one `handle_line`."""
 
     def __init__(
         self,
@@ -95,31 +103,24 @@ class Frontend:
         cfg = self.config
         self.registry = registry if registry is not None else get_registry()
         self.router = RendezvousRouter(cfg.shards)
-        argv = shard_argv(
-            jobs=cfg.shard_jobs,
-            cache_size=cfg.cache_size,
-            mode=cfg.mode,
-            include_counts=cfg.include_counts,
-            shm=cfg.shm,
-            log_level=cfg.shard_log_level,
-        ) + list(cfg.extra_shard_args)
         self.shards = [
-            ShardClient(
-                i,
-                argv,
-                queue_limit=cfg.queue_limit,
-                max_restarts=cfg.max_restarts,
-                inherit_stderr=cfg.inherit_shard_stderr,
-            )
-            for i in range(cfg.shards)
+            Estimator(n_jobs=cfg.shard_jobs, cache_size=cfg.cache_size, shm=cfg.shm)
+            for _ in range(cfg.shards)
         ]
+        #: Admitted requests per shard not yet answered.
+        self.depth = [0] * cfg.shards
+        # Admission caps in-flight requests at queue_limit per shard, so
+        # this bound is never the one a request waits on.
+        self._executor = ThreadPoolExecutor(
+            max_workers=max(1, cfg.shards * cfg.queue_limit),
+            thread_name_prefix="repro-frontend",
+        )
         self.admission = AdmissionController(
             PeakHoldEstimator(half_life_s=cfg.admission_half_life_s),
             shed_threshold=cfg.shed_threshold,
         )
         self._buckets: dict[str, TokenBucket] = {}
         self.requests_served = 0
-        self._restarts_recorded = 0
         #: Set by run_tcp_server/run_http_server once the socket binds
         #: (resolves port 0 to the real ephemeral port for callers).
         self.bound_port: int | None = None
@@ -129,7 +130,7 @@ class Frontend:
             "frontend_requests_total", "Request lines received by the front end"
         )
         self._m_admitted = reg.counter(
-            "frontend_admitted_total", "Requests admitted and forwarded to a shard"
+            "frontend_admitted_total", "Requests admitted and handed to a shard"
         )
         self._m_shed = reg.counter(
             "frontend_shed_total", "Requests shed by admission control"
@@ -141,9 +142,6 @@ class Frontend:
             "frontend_errors_total",
             "Structured front-end errors by code",
             labelnames=("code",),
-        )
-        self._m_restarts = reg.counter(
-            "frontend_shard_restarts_total", "Shard subprocess respawns"
         )
         self._m_depth = reg.gauge(
             "frontend_shard_queue_depth",
@@ -165,21 +163,11 @@ class Frontend:
             "End-to-end latency of admitted requests at the front end",
         )
 
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    async def start(self) -> None:
-        await asyncio.gather(*(shard.start() for shard in self.shards))
-
-    async def close(self) -> None:
-        self._record_restarts()
-        await asyncio.gather(*(shard.close() for shard in self.shards))
-
-    def _record_restarts(self) -> None:
-        total = sum(s.restarts for s in self.shards)
-        if total > self._restarts_recorded:
-            self._m_restarts.inc(total - self._restarts_recorded)
-            self._restarts_recorded = total
+    def close(self) -> None:
+        """Cancel queued requests and stop every shard's worker pools."""
+        self._executor.shutdown(wait=False, cancel_futures=True)
+        for shard in self.shards:
+            shard.shutdown(wait=False, timeout=10.0)
 
     # ------------------------------------------------------------------ #
     # admission plane
@@ -193,17 +181,21 @@ class Frontend:
             self._buckets[client] = bucket
         return bucket
 
-    def _observe_load(self, shard: ShardClient) -> None:
-        self._record_restarts()
-        self.admission.observe(shard.load)
-        self._m_depth.labels(shard=str(shard.index)).set(shard.depth)
-        self._m_saturation.set(max(s.load for s in self.shards))
+    def _load(self, index: int) -> float:
+        """Shard *index*'s queue depth over capacity (1.0 == full)."""
+        limit = self.config.queue_limit
+        return self.depth[index] / limit if limit else 0.0
+
+    def _observe_load(self, index: int) -> None:
+        self.admission.observe(self._load(index))
+        self._m_depth.labels(shard=str(index)).set(self.depth[index])
+        self._m_saturation.set(max(map(self._load, range(len(self.shards)))))
         self._m_peak.set(self.admission.peak_load)
         self._m_current.set(self.admission.current_load)
 
-    def _fail(self, payload: dict[str, Any]) -> str:
+    def _fail(self, payload: dict[str, Any]) -> dict[str, Any]:
         self._m_errors.labels(code=_error_code(payload)).inc()
-        return json.dumps(payload)
+        return payload
 
     # ------------------------------------------------------------------ #
     # the request pipeline
@@ -214,11 +206,12 @@ class Frontend:
         *,
         client: str | None = None,
         lineno: int | None = None,
-    ) -> str:
-        """One request line in, one response line out (never raises)."""
+    ) -> dict[str, Any]:
+        """One request line in, one answer object out (never raises)."""
+        cfg = self.config
         self._m_requests.inc()
         parsed = parse_request_line(
-            raw, lineno=lineno, max_bytes=self.config.max_line_bytes
+            raw, lineno=lineno, max_bytes=cfg.max_line_bytes, default_mode=cfg.mode
         )
         if not parsed.ok:
             assert parsed.error is not None
@@ -226,31 +219,31 @@ class Frontend:
         request = parsed.request
         assert request is not None
 
-        if self.config.rate_limit > 0 and client is not None:
+        if cfg.rate_limit > 0 and client is not None:
             if not self._bucket_for(client).allow():
                 self._m_rate_limited.inc()
                 return self._fail(
                     error_payload(
                         "rate_limited",
                         f"client {client} exceeded "
-                        f"{self.config.rate_limit:g} requests/s",
+                        f"{cfg.rate_limit:g} requests/s",
                         version=parsed.version,
                         line=lineno,
                         request_id=request.id,
                     )
                 )
 
-        shard = self.shards[self.router.shard_for(request.graph_spec or "")]
-        self._observe_load(shard)
-        queue_full = shard.depth >= self.config.queue_limit
+        index = self.router.shard_for(request.graph_spec or "")
+        self._observe_load(index)
+        queue_full = self.depth[index] >= cfg.queue_limit
         if queue_full or not self.admission.admit():
             self._m_shed.inc()
             reason = (
-                f"shard {shard.index} queue is full "
-                f"({shard.depth}/{self.config.queue_limit})"
+                f"shard {index} queue is full "
+                f"({self.depth[index]}/{cfg.queue_limit})"
                 if queue_full
                 else f"peak-hold load {self.admission.peak_load:.2f} exceeds "
-                f"shed threshold {self.config.shed_threshold:g}"
+                f"shed threshold {cfg.shed_threshold:g}"
             )
             return self._fail(
                 error_payload(
@@ -263,36 +256,26 @@ class Frontend:
             )
 
         self._m_admitted.inc()
+        self.depth[index] += 1
         t0 = time.perf_counter()
         try:
-            response = await shard.submit(raw.strip())
-        except ShardUnavailable as exc:
-            return self._fail(
-                error_payload(
-                    "shard_unavailable",
-                    str(exc),
-                    version=parsed.version,
-                    line=lineno,
-                    request_id=request.id,
-                )
+            answer = await asyncio.get_running_loop().run_in_executor(
+                self._executor,
+                functools.partial(
+                    answer_request,
+                    self.shards[index],
+                    parsed,
+                    include_counts=cfg.include_counts,
+                    lineno=lineno,
+                ),
             )
         finally:
-            self._m_depth.labels(shard=str(shard.index)).set(shard.depth)
+            self.depth[index] -= 1
+            self._m_depth.labels(shard=str(index)).set(self.depth[index])
         self._m_latency.observe(time.perf_counter() - t0)
         self.requests_served += 1
-        return self._annotate(response, shard.index)
-
-    @staticmethod
-    def _annotate(response: str, shard: int) -> str:
-        """Stamp the owning shard onto the relayed response line."""
-        try:
-            obj = json.loads(response)
-        except (json.JSONDecodeError, TypeError):
-            return response
-        if isinstance(obj, dict):
-            obj["shard"] = shard
-            return json.dumps(obj)
-        return response
+        answer["shard"] = index
+        return answer
 
     def stats_snapshot(self) -> dict[str, Any]:
         """A stats-event-shaped snapshot (``repro top`` / ``health`` food)."""
@@ -380,9 +363,10 @@ async def _handle_tcp_connection(
     write_lock = asyncio.Lock()
     tasks: set[asyncio.Task[None]] = set()
 
-    async def reply(payload: str) -> None:
+    async def reply(payload: dict[str, Any]) -> None:
+        data = (json.dumps(payload) + "\n").encode()
         async with write_lock:
-            writer.write(payload.encode() + b"\n")
+            writer.write(data)
             await writer.drain()
 
     async def serve_one(raw: str, lineno: int) -> None:
@@ -425,10 +409,94 @@ async def _handle_tcp_connection(
             await writer.wait_closed()
 
 
+# ---------------------------------------------------------------------- #
+# serving lifecycle (both planes)
+# ---------------------------------------------------------------------- #
+#: fd → (device, inode) of every socket the planes hold open.  Shard
+#: pools fork their workers from this process, and a worker must not
+#: keep these: one holding the listening socket keeps the port bound
+#: after the front end dies, one holding a connection keeps its peer
+#: from ever seeing it close.
+_PLANE_SOCKETS: dict[int, tuple[int, int]] = {}
+
+
+def _hold(sock: Any) -> int:
+    fd = sock.fileno()
+    st = os.fstat(fd)
+    _PLANE_SOCKETS[fd] = (st.st_dev, st.st_ino)
+    return fd
+
+
+def _release_plane_sockets() -> None:
+    """In a forked child: point each plane socket's fd at /dev/null.
+
+    The (device, inode) check skips an fd the parent has since closed
+    and reused; dup2 rather than close keeps the fd number valid for the
+    child's copy of the socket object.
+    """
+    devnull = os.open(os.devnull, os.O_RDWR)
+    for fd, ident in list(_PLANE_SOCKETS.items()):
+        with contextlib.suppress(OSError):
+            st = os.fstat(fd)
+            if (st.st_dev, st.st_ino) == ident:
+                os.dup2(devnull, fd)
+    os.close(devnull)
+    _PLANE_SOCKETS.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_release_plane_sockets)
+
+
 async def _stats_loop(frontend: Frontend, stream: IO[str], interval: float) -> None:
     while True:
         await asyncio.sleep(interval)
         print(json.dumps(frontend.stats_snapshot()), file=stream, flush=True)
+
+
+async def _serve(
+    handler: Callable[..., Any],
+    frontend: Frontend,
+    host: str,
+    port: int,
+    ready: asyncio.Event | None,
+    stats_stream: IO[str] | None,
+    stats_interval: float,
+) -> None:
+    """Accept connections with *handler* until cancelled, then close."""
+    stats_task: asyncio.Task[None] | None = None
+    listening: list[int] = []
+
+    async def accept(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        fd = _hold(writer.get_extra_info("socket"))
+        try:
+            await handler(frontend, reader, writer)
+        finally:
+            _PLANE_SOCKETS.pop(fd, None)
+
+    try:
+        server = await asyncio.start_server(accept, host, port)
+        listening = [_hold(sock) for sock in server.sockets]
+        # Port 0 binds an ephemeral port; publish the real one for callers.
+        frontend.bound_port = server.sockets[0].getsockname()[1]
+        if stats_stream is not None:
+            stats_task = asyncio.create_task(
+                _stats_loop(frontend, stats_stream, stats_interval)
+            )
+        async with server:
+            if ready is not None:
+                ready.set()
+            await server.serve_forever()
+    finally:
+        if stats_task is not None:
+            stats_task.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await stats_task
+        for fd in listening:
+            _PLANE_SOCKETS.pop(fd, None)
+        frontend.close()
 
 
 async def run_tcp_server(
@@ -441,28 +509,10 @@ async def run_tcp_server(
     stats_interval: float = 2.0,
 ) -> None:
     """Serve the line protocol over TCP until cancelled."""
-    await frontend.start()
-    stats_task: asyncio.Task[None] | None = None
-    server = await asyncio.start_server(
-        lambda r, w: _handle_tcp_connection(frontend, r, w), host, port
+    await _serve(
+        _handle_tcp_connection, frontend, host, port,
+        ready, stats_stream, stats_interval,
     )
-    # Port 0 binds an ephemeral port; publish the real one for callers.
-    frontend.bound_port = server.sockets[0].getsockname()[1]
-    if stats_stream is not None:
-        stats_task = asyncio.create_task(
-            _stats_loop(frontend, stats_stream, stats_interval)
-        )
-    try:
-        async with server:
-            if ready is not None:
-                ready.set()
-            await server.serve_forever()
-    finally:
-        if stats_task is not None:
-            stats_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await stats_task
-        await frontend.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -475,7 +525,6 @@ _HTTP_STATUS = {
     "line_too_large": 413,
     "rate_limited": 429,
     "overloaded": 503,
-    "shard_unavailable": 503,
     "internal": 500,
 }
 
@@ -565,11 +614,8 @@ async def _handle_http_connection(
             return
         body = (await reader.readexactly(length)).decode("utf-8", "replace")
         out = await frontend.handle_line(body.replace("\n", " "), client=client)
-        obj = json.loads(out)
-        status = 200
-        if isinstance(obj, dict) and "error" in obj:
-            status = _HTTP_STATUS.get(_error_code(obj), 500)
-        writer.write(_http_response(status, out.encode()))
+        status = _HTTP_STATUS.get(_error_code(out), 500) if "error" in out else 200
+        writer.write(_http_response(status, json.dumps(out).encode()))
     except (asyncio.IncompleteReadError, ConnectionError, ValueError):
         pass
     finally:
@@ -588,24 +634,7 @@ async def run_http_server(
     stats_interval: float = 2.0,
 ) -> None:
     """Serve single-request HTTP (POST /estimate) until cancelled."""
-    await frontend.start()
-    stats_task: asyncio.Task[None] | None = None
-    server = await asyncio.start_server(
-        lambda r, w: _handle_http_connection(frontend, r, w), host, port
+    await _serve(
+        _handle_http_connection, frontend, host, port,
+        ready, stats_stream, stats_interval,
     )
-    frontend.bound_port = server.sockets[0].getsockname()[1]
-    if stats_stream is not None:
-        stats_task = asyncio.create_task(
-            _stats_loop(frontend, stats_stream, stats_interval)
-        )
-    try:
-        async with server:
-            if ready is not None:
-                ready.set()
-            await server.serve_forever()
-    finally:
-        if stats_task is not None:
-            stats_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await stats_task
-        await frontend.close()

@@ -45,6 +45,7 @@ import queue
 import threading
 import time
 from collections import OrderedDict, deque
+from concurrent.futures import Future
 from typing import Any
 
 import numpy as np
@@ -334,6 +335,9 @@ class BatchScheduler:
         self._pools: OrderedDict[tuple, TrialPool] = OrderedDict()
         self._pool_busy: dict[tuple, int] = {}
         self._graph_memo: OrderedDict[str, StaticGraph] = OrderedDict()
+        #: spec → the build in progress, so concurrent cold requests for
+        #: one spec build it once.
+        self._building: dict[str, Future[StaticGraph]] = {}
         self._sem = threading.BoundedSemaphore(self.workers * 2)
         self._closed = False
         self._hard_stop = False
@@ -408,6 +412,11 @@ class BatchScheduler:
                 hit = self.cache.get(key)
             elif prior is not None:
                 hit = self._check_prior(ticket)
+            if hit is None and self._closed:
+                # Shutdown ran while this request built its graph; no
+                # dispatcher is left to run it or fail it later.
+                ticket._fail(EstimateCancelled("service shut down"))
+                return ticket
             if hit is None:
                 self._open.add(ticket)
                 self._g_queue.set(len(self._open))
@@ -449,11 +458,25 @@ class BatchScheduler:
             if memo is not None:
                 self._graph_memo.move_to_end(spec)
                 return memo
-        graph = request.resolve_graph()
+            waiting = self._building.get(spec)
+            if waiting is None:
+                build: Future[StaticGraph] = Future()
+                self._building[spec] = build
+        if waiting is not None:
+            return waiting.result()
+        try:
+            graph = request.resolve_graph()
+        except BaseException as exc:
+            with self._lock:
+                del self._building[spec]
+            build.set_exception(exc)
+            raise
         with self._lock:
+            del self._building[spec]
             self._graph_memo[spec] = graph
             while len(self._graph_memo) > 8:
                 self._graph_memo.popitem(last=False)
+        build.set_result(graph)
         return graph
 
     def _resolve_mode(self, mode: str, algorithm: MISAlgorithm) -> str:

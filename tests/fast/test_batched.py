@@ -19,6 +19,7 @@ from repro.fast.blocks import FastColorMIS, FastFairBipart
 from repro.fast.fair_rooted import FastFairRooted
 from repro.fast.fair_tree import FastFairTree
 from repro.fast.luby import FastLuby
+from repro.graphs.graph import StaticGraph
 from repro.graphs.generators import (
     path_graph,
     random_planar_like,
@@ -88,6 +89,38 @@ class TestBatchedLuby:
     def test_invalid_trials(self):
         with pytest.raises(ValueError):
             batched_luby_trials(path_graph(3), trials=0)
+
+
+class TestUnionSize:
+    """Unions stay within the fast engine's 2^24-node key range."""
+
+    @pytest.mark.parametrize(
+        "runner, sweep",
+        [
+            (batched_luby_trials, "luby_sweep"),
+            (batched_fair_tree_trials, "fair_tree_run"),
+        ],
+    )
+    def test_copies_capped_for_large_graphs(self, monkeypatch, runner, sweep):
+        import repro.fast.batched as batched
+
+        sizes: list[int] = []
+
+        def fake_power(graph, copies):
+            sizes.append(copies)
+            return StaticGraph(n=graph.n * copies, edges=np.zeros((0, 2), np.int64))
+
+        def fake_sweep(union, rng, **_kw):
+            return np.zeros(union.n, dtype=bool), {}
+
+        monkeypatch.setattr(batched, "disjoint_power", fake_power)
+        monkeypatch.setattr(batched, sweep, fake_sweep)
+        n = 300_000  # 64 copies would be 19.2M nodes
+        est = runner(path_graph(n), trials=64, seed=0)
+        assert est.trials == 64
+        assert sum(sizes) == 64
+        assert max(sizes) * n <= 1 << 24
+        assert sizes[0] == (1 << 24) // n
 
 
 class TestBatchedFairTree:
